@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -79,8 +80,24 @@ func TestStartClusterSingleNode(t *testing.T) {
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "cluster_owned_shards") {
 		t.Fatalf("metrics: %d missing cluster families:\n%s", code, body)
 	}
-	if code, body := get("/stats"); code != http.StatusOK || !strings.Contains(body, `"goroutines"`) {
+	code, body = get("/stats")
+	if code != http.StatusOK || !strings.Contains(body, `"goroutines"`) {
 		t.Fatalf("stats: %d %s", code, body)
+	}
+	// The node's Stats is the merged view over its per-shard stores, so
+	// cluster mode reports latency and batch occupancy like single-process
+	// mode does (2 puts + 2 gets above, spread over both shards' stores).
+	var st service.Stats
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("stats: %v in %s", err, body)
+	}
+	for _, kind := range []string{"put", "get"} {
+		if l := st.Latency[kind]; st.Ops[kind] != 2 || l.Count != 2 || l.MeanNs <= 0 || l.P99Ns < l.P50Ns || l.P50Ns <= 0 {
+			t.Fatalf("merged %s stats: ops %d, latency %+v", kind, st.Ops[kind], l)
+		}
+	}
+	if st.Batches == 0 || st.BatchSize.Count != st.Batches || st.BatchSize.Sum != st.TotalOps {
+		t.Fatalf("merged batch stats: %d batches, occupancy %+v, %d ops", st.Batches, st.BatchSize, st.TotalOps)
 	}
 	// Single-process-only endpoints are absent in cluster mode.
 	if code, _ := get("/config"); code == http.StatusOK {

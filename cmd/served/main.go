@@ -233,7 +233,7 @@ func main() {
 		if l.Count == 0 {
 			continue
 		}
-		log.Printf("served:   %-3s n=%-8d mean=%.0fns p50=%dns p99=%dns max=%dns",
+		log.Printf("served:   %-3s n=%-8d mean=%.0fns p50=%dns p99=%dns max<=%dns",
 			kind, l.Count, l.MeanNs, l.P50Ns, l.P99Ns, l.MaxNs)
 	}
 	if sup := st.Supervision; sup.Enabled && sup.Restarts > 0 {

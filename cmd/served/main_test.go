@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -315,6 +317,67 @@ func TestStatsGoroutines(t *testing.T) {
 	resp.Body.Close()
 	if st.Goroutines <= 0 {
 		t.Fatalf("goroutines = %d, want > 0", st.Goroutines)
+	}
+}
+
+// jsonKeys flattens a decoded JSON document into its sorted key paths
+// (arrays and scalars are leaves).
+func jsonKeys(prefix string, v any, out *[]string) {
+	obj, ok := v.(map[string]any)
+	if !ok {
+		*out = append(*out, prefix)
+		return
+	}
+	for k, child := range obj {
+		jsonKeys(strings.TrimPrefix(prefix+"."+k, "."), child, out)
+	}
+}
+
+// TestStatsKeySet pins the /stats document's key set: Stats() is a view
+// assembled field by field from the metrics registry, and operators'
+// scripts (scripts/*.sh, loadgen's verdict) address it by key, so the view
+// must not silently drop or rename one.
+func TestStatsKeySet(t *testing.T) {
+	fs := fault.NewSet()
+	fs.Arm(service.FaultAuditRecord, fault.Rule{Action: fault.Drop, After: 1 << 30})
+	srv, store := testServer(t, service.Config{Shards: 1, Faults: fs})
+	defer store.Close()
+	post(t, srv, "/op", `{"op":"put","key":"a","val":"1"}`)
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var got []string
+	jsonKeys("", doc, &got)
+	sort.Strings(got)
+
+	hist := func(p string) []string {
+		return []string{p + ".buckets", p + ".count", p + ".max", p + ".sum"}
+	}
+	summary := func(p string) []string {
+		return append(hist(p+".hist"), p+".count", p+".max_ns", p+".mean_ns", p+".p50_ns", p+".p99_ns")
+	}
+	want := []string{
+		"shards", "workers_per_shard", "total_ops", "batches", "queue_depth", "committed", "goroutines",
+		"ops.get", "ops.put", "ops.cas",
+		"audit.sampled_ops", "audit.dropped_ops", "audit.windows_checked", "audit.violations",
+		"audit.truncated", "audit.gaps",
+		"supervision.enabled", "supervision.restarts", "supervision.condemned", "supervision.spares_exhausted",
+		"faults.audit.record.fires", "faults.audit.record.acted",
+	}
+	want = append(want, hist("batch_size")...)
+	want = append(want, summary("supervision.recovery")...)
+	for _, kind := range []string{"get", "put", "cas"} {
+		want = append(want, summary("latency."+kind)...)
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/stats key set changed:\n got  %v\n want %v", got, want)
 	}
 }
 

@@ -89,8 +89,8 @@ type shardRep struct {
 	lastOwnerHeard int64
 
 	// Follower state: an ack is owed to the owner and will piggyback on
-	// the next outbound frame toward it (or a dedicated frame at the end
-	// of the loop iteration — see flushAcks).
+	// the next outbound frame toward it (or a heartbeat at the end of the
+	// loop iteration — see flushAcks).
 	ackOwed bool
 
 	// Owner state.
@@ -274,7 +274,6 @@ var opcodeNames = map[byte]string{
 	wire.OpcodeRepDone:      "done",
 	wire.OpcodeRepRedirect:  "redirect",
 	wire.OpcodeRepAppend:    "append",
-	wire.OpcodeRepAck:       "ack",
 	wire.OpcodeRepStale:     "stale",
 	wire.OpcodeRepVote:      "vote",
 	wire.OpcodeRepVoteOK:    "voteok",
@@ -381,34 +380,12 @@ func (n *Node) Status() Status {
 	}
 }
 
-// Stats implements wire.Backend by aggregating the node's stores: op and
-// audit counters sum across shards (latency summaries are per-store and
-// not merged). A frontend-only node reports an empty Stats.
+// Stats implements wire.Backend: the merged view over the node's per-shard
+// replica stores (see service.MergedStats). A frontend-only node reports
+// an empty Stats.
 func (n *Node) Stats() service.Stats {
-	out := service.Stats{Shards: n.cfg.Shards, Ops: map[string]int64{}}
-	for _, st := range n.stores {
-		s := st.Stats()
-		out.WorkersPerShard = s.WorkersPerShard
-		out.TotalOps += s.TotalOps
-		out.Batches += s.Batches
-		out.BatchSize.Merge(s.BatchSize)
-		for k, v := range s.Ops {
-			out.Ops[k] += v
-		}
-		out.QueueDepth = append(out.QueueDepth, s.QueueDepth...)
-		out.Committed = append(out.Committed, s.Committed...)
-		out.Audit.SampledOps += s.Audit.SampledOps
-		out.Audit.DroppedOps += s.Audit.DroppedOps
-		out.Audit.WindowsChecked += s.Audit.WindowsChecked
-		out.Audit.Violations += s.Audit.Violations
-		out.Audit.Truncated += s.Audit.Truncated
-		out.Audit.Gaps += s.Audit.Gaps
-		out.Audit.ViolationSamples = append(out.Audit.ViolationSamples, s.Audit.ViolationSamples...)
-		out.Supervision.Enabled = out.Supervision.Enabled || s.Supervision.Enabled
-		out.Supervision.Restarts += s.Supervision.Restarts
-		out.Supervision.Condemned += s.Supervision.Condemned
-		out.Supervision.SparesExhausted += s.Supervision.SparesExhausted
-	}
+	out := service.MergedStats(n.stores)
+	out.Shards = n.cfg.Shards // the deployment's, also where no store is held
 	return out
 }
 
@@ -540,8 +517,8 @@ func (n *Node) Run(p *sched.Proc) {
 		}
 		n.tick(p)
 		// Ordering matters: tick's own traffic (heartbeats, suffixes) gets
-		// first chance to carry owed acks, flushAcks sends dedicated frames
-		// for the leftovers, and the transport flush pushes the whole burst
+		// first chance to carry owed acks, flushAcks sends heartbeats for
+		// the leftovers, and the transport flush pushes the whole burst
 		// out as one write per peer.
 		n.flushAcks(p)
 		n.tr.flush(p)
@@ -616,7 +593,9 @@ func (n *Node) handle(p *sched.Proc, m *message) {
 	case kindPeerDown:
 		n.onPeerDown(p, NodeID(m.rep.Peer))
 	case wire.OpcodeRepHeartbeat:
-		// lastHeard already refreshed above.
+		// lastHeard refreshed and the acks section dispatched above; a
+		// heartbeat is nothing else (flushAcks sends one as the acks'
+		// carrier of last resort).
 	case wire.OpcodeRepRoute:
 		n.onRoute(p, m)
 	case wire.OpcodeRepDone:
@@ -625,10 +604,6 @@ func (n *Node) handle(p *sched.Proc, m *message) {
 		n.onRedirect(p, m)
 	case wire.OpcodeRepAppend:
 		n.onAppend(p, m)
-	case wire.OpcodeRepAck:
-		// Ack content rides the envelope's Acks section, handled above for
-		// every replication frame; a dedicated RepAck frame is just the
-		// carrier of last resort (flushAcks).
 	case wire.OpcodeRepStale:
 		n.onStale(p, m)
 	case wire.OpcodeRepVote:
@@ -789,8 +764,8 @@ func (n *Node) takeAcks(to NodeID, max int) []wire.RepAck {
 	return acks
 }
 
-// flushAcks sends a dedicated carrier frame per owner still owed acks
-// after the iteration's own traffic had its chance to carry them. The
+// flushAcks sends a heartbeat to each owner still owed acks after the
+// iteration's own traffic had its chance to carry them. The
 // sendRep inside collects every owed shard for that owner at once, so
 // this is one frame per owner per loop iteration (more only past the
 // per-frame ack cap).
@@ -800,7 +775,7 @@ func (n *Node) flushAcks(p *sched.Proc) {
 	}
 	for _, sr := range n.shards {
 		if sr.ackOwed && !sr.condemned && !sr.isOwner {
-			n.sendRep(p, sr.owner, wire.OpcodeRepAck, wire.Rep{Shard: uint16(sr.shard)})
+			n.sendRep(p, sr.owner, wire.OpcodeRepHeartbeat, wire.Rep{})
 		}
 	}
 }

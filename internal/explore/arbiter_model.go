@@ -67,9 +67,6 @@ func (s arbState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key implements State.
-func (s arbState) Key() string { return keyString(s) }
-
 func (s arbState) clone() arbState {
 	s.procs = append([]arbProc(nil), s.procs...)
 	return s

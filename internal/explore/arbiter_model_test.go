@@ -73,7 +73,7 @@ func TestArbiterModelTerminationWithCorrectOwnerExhaustive(t *testing.T) {
 	g := exploreArbiter(t, []int{ArbOwner, ArbGuest})
 	for i := 0; i < g.Size(); i++ {
 		if !g.SoloDecides(i, 0, 10) {
-			t.Fatalf("owner cannot return solo from state %d (key %q)", i, g.StateOf(i).Key())
+			t.Fatalf("owner cannot return solo from state %d (key %q)", i, g.StateOf(i).AppendKey(nil))
 		}
 	}
 	// Clause 3: once someone returned, every correct process terminates.
@@ -97,7 +97,7 @@ func TestArbiterModelOnlyGuestsTerminate(t *testing.T) {
 		for pid := 0; pid < 2; pid++ {
 			if !g.SoloDecides(i, pid, 10) {
 				t.Fatalf("guest %d cannot return solo from state %d (key %q)",
-					pid, i, g.StateOf(i).Key())
+					pid, i, g.StateOf(i).AppendKey(nil))
 			}
 		}
 	}

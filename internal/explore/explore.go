@@ -48,14 +48,7 @@ type State interface {
 	// reachable states of one exploration (it may omit components that are
 	// constant across the run, such as the input assignment).
 	AppendKey(dst []byte) []byte
-	// Key returns the encoding as a string. It is a compatibility shim over
-	// AppendKey; the engines intern on the binary form.
-	Key() string
 }
-
-// keyString renders a state's binary key as a string; models use it to
-// implement the Key compatibility shim.
-func keyString(s State) string { return string(s.AppendKey(nil)) }
 
 // boolByte encodes a bool as one key byte.
 func boolByte(b bool) byte {

@@ -100,7 +100,7 @@ func TestGatedModelWaitFreePortDecidesFromEverywhere(t *testing.T) {
 	g := exploreGated(t, []int{0, 1})
 	for i := 0; i < g.Size(); i++ {
 		if !g.SoloDecides(i, 0, 5) {
-			t.Fatalf("p0 cannot decide solo from state %d (key %q)", i, g.StateOf(i).Key())
+			t.Fatalf("p0 cannot decide solo from state %d (key %q)", i, g.StateOf(i).AppendKey(nil))
 		}
 	}
 }
@@ -268,7 +268,7 @@ func TestGraphAccessors(t *testing.T) {
 	if s := g.Succ(init, 0); s < 0 {
 		t.Error("p0 not enabled at the initial state")
 	}
-	if g.StateOf(init).Key() == "" {
+	if len(g.StateOf(init).AppendKey(nil)) == 0 {
 		t.Error("empty state key")
 	}
 }

@@ -49,9 +49,6 @@ func (s gatedState) AppendKey(dst []byte) []byte {
 		byte(s.val0+1), byte(s.val1+1))
 }
 
-// Key implements State.
-func (s gatedState) Key() string { return keyString(s) }
-
 // N implements Protocol.
 func (GatedModel) N() int { return 2 }
 

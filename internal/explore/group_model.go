@@ -88,9 +88,6 @@ func (s groupState) AppendKey(dst []byte) []byte {
 		byte(s.dec0+1), byte(s.dec1+1))
 }
 
-// Key implements State.
-func (s groupState) Key() string { return keyString(s) }
-
 // N implements Protocol.
 func (GroupModel) N() int { return 2 }
 

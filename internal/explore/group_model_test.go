@@ -42,7 +42,7 @@ func TestGroupModelGroup0SoloDecides(t *testing.T) {
 	g := exploreGroup(t, []int{0, 1})
 	for i := 0; i < g.Size(); i++ {
 		if !g.SoloDecides(i, 0, 30) {
-			t.Fatalf("p0 cannot decide solo from state %d (key %q)", i, g.StateOf(i).Key())
+			t.Fatalf("p0 cannot decide solo from state %d (key %q)", i, g.StateOf(i).AppendKey(nil))
 		}
 	}
 }

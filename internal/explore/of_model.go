@@ -94,9 +94,6 @@ func (s ofState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key implements State.
-func (s ofState) Key() string { return keyString(s) }
-
 func (s ofState) clone() ofState {
 	s.a1 = append([]int8(nil), s.a1...)
 	s.a2 = append([]int8(nil), s.a2...)

@@ -58,9 +58,6 @@ func (s tasState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key implements State.
-func (s tasState) Key() string { return keyString(s) }
-
 func (s tasState) clone() tasState {
 	s.inputs = append([]int8(nil), s.inputs...)
 	s.prefer = append([]int8(nil), s.prefer...)

@@ -186,8 +186,32 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Count returns the merged observation count.
-func (h *Histogram) Count() int64 { return h.Snapshot().Count }
+// Mean returns the arithmetic mean of the observations (0 when empty).
+func (s HistogramSnapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.Count)
+}
+
+// Merge folds o into s, so one summary can span the same instrument in
+// several registries. The zero snapshot adopts o's bounds; after that the
+// bounds must match (merging different bucket families is a programmer
+// error and panics).
+func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
+	if s.Counts == nil {
+		s.Bounds = o.Bounds
+		s.Counts = make([]int64, len(o.Counts))
+	}
+	if len(s.Counts) != len(o.Counts) {
+		panic(fmt.Sprintf("metrics: merging histograms with %d and %d buckets", len(s.Counts), len(o.Counts)))
+	}
+	for i, c := range o.Counts {
+		s.Counts[i] += c
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+}
 
 // Quantile returns a conservative estimate of the q-quantile (0 < q <= 1):
 // the upper bound of the bucket where the cumulative count crosses q, i.e.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,52 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestSnapshotMeanAndMerge: Mean is sum/count (0 when empty), and merging
+// the snapshots of two same-bounds histograms equals one histogram that saw
+// both streams — including the +Inf bucket — without aliasing the sources.
+func TestSnapshotMeanAndMerge(t *testing.T) {
+	r := NewRegistry()
+	a := r.Histogram("a", "a", nil, Pow2Bounds(0, 4))
+	b := r.Histogram("b", "b", nil, Pow2Bounds(0, 4))
+	both := r.Histogram("both", "both", nil, Pow2Bounds(0, 4))
+	if got := a.Snapshot().Mean(); got != 0 {
+		t.Fatalf("empty Mean = %v, want 0", got)
+	}
+	for _, v := range []int64{1, 3, 3} {
+		a.Observe(v)
+		both.Observe(v)
+	}
+	for _, v := range []int64{3, 16, 1000} {
+		b.Observe(v)
+		both.Observe(v)
+	}
+	if got, want := b.Snapshot().Mean(), float64(3+16+1000)/3; got != want {
+		t.Fatalf("Mean = %v, want %v", got, want)
+	}
+	var merged HistogramSnapshot // the view over zero registries
+	if merged.Mean() != 0 || merged.Quantile(0.5) != 0 {
+		t.Fatalf("zero snapshot: mean %v p50 %d, want 0", merged.Mean(), merged.Quantile(0.5))
+	}
+	sa := a.Snapshot()
+	merged.Merge(sa)
+	merged.Merge(b.Snapshot())
+	if want := both.Snapshot(); !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merged = %+v, want %+v", merged, want)
+	}
+	if merged.Counts[len(merged.Counts)-1] != 1 {
+		t.Fatalf("+Inf bucket = %d, want 1 (counts %v)", merged.Counts[len(merged.Counts)-1], merged.Counts)
+	}
+	if !reflect.DeepEqual(sa, a.Snapshot()) {
+		t.Fatalf("Merge wrote through to its first source: %+v", sa)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging different bucket families did not panic")
+		}
+	}()
+	merged.Merge(r.Histogram("c", "c", nil, Pow2Bounds(0, 5)).Snapshot())
+}
+
 // TestHistogramConcurrentRecording hammers one histogram from many
 // goroutines across its stripes (run under -race in CI) and checks the
 // merged totals are exact: recording is atomic per cell and Snapshot merges
@@ -128,7 +175,7 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.Snapshot().Count; got != workers*perWorker {
 		t.Fatalf("Count = %d, want %d", got, workers*perWorker)
 	}
 	if got := c.Value(); got != workers*perWorker {

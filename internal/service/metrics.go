@@ -7,10 +7,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// storeMetrics is the store's always-on observability surface: the hot-path
+// storeMetrics is the store's always-on observability surface and its only
+// per-op ledger (Stats is a view over it, see MergedStats): the recorded
 // instruments (striped by worker gid / shard id so single-writer stripes
-// never contend) plus scrape-time views over counters the store already
-// maintains (queue depths, audit progress, supervision, fault points).
+// never contend) plus scrape-time views over state the store already
+// maintains (queue depths, log positions, audit progress, fault points).
 //
 // Recording costs a handful of atomic adds and 0 allocs — cheap enough to
 // leave on unconditionally; there is no "metrics disabled" mode. Under the
@@ -27,6 +28,15 @@ type storeMetrics struct {
 	batches   *metrics.Counter
 	batchOcc  *metrics.Histogram
 	dedupHits *metrics.Counter
+
+	// Supervision, striped by worker gid like the above: recovery is a
+	// crashed slot's crash-to-first-commit time, observed by its successor
+	// incarnation; restarts is bumped by the shard supervisor per respawn.
+	// The breaker outcomes are rare and unstriped.
+	recovery        *metrics.Histogram
+	restarts        *metrics.Counter
+	condemned       *metrics.Counter
+	sparesExhausted *metrics.Counter
 
 	// inflight is striped by shard id: +1 at enqueue (client side), -1 per
 	// request when its batch's side effects publish.
@@ -62,6 +72,16 @@ func newStoreMetrics(s *Store, virtual bool) *storeMetrics {
 	m.inflight = m.reg.GaugeStriped("service_inflight",
 		"Commands enqueued but not yet committed and answered.", nil, s.cfg.Shards)
 
+	m.recovery = m.reg.HistogramStriped("service_supervision_recovery_ns",
+		"Crash-to-first-commit latency of restarted workers in runtime clock units.",
+		nil, latBounds, workers)
+	m.restarts = m.reg.CounterStriped("service_supervision_restarts_total",
+		"Worker incarnations respawned after a crash.", nil, workers)
+	m.condemned = m.reg.Counter("service_supervision_condemned_total",
+		"Slots permanently condemned by the crash-loop breaker.", nil)
+	m.sparesExhausted = m.reg.Counter("service_supervision_spares_exhausted_total",
+		"Respawns refused because the virtual seat pool ran dry.", nil)
+
 	for _, sh := range s.shards {
 		sh := sh
 		shardLabel := metrics.Labels{{Name: "shard", Value: strconv.Itoa(sh.id)}}
@@ -70,36 +90,8 @@ func newStoreMetrics(s *Store, virtual bool) *storeMetrics {
 			func() float64 { return float64(sh.q.len()) })
 		m.reg.GaugeFunc("service_committed",
 			"Shard log length (max over its workers' replica positions).", shardLabel,
-			func() float64 {
-				var max int64
-				for _, sl := range sh.slots {
-					if pos := sl.committed.Read(statsProc); pos > max {
-						max = pos
-					}
-				}
-				return float64(max)
-			})
+			func() float64 { return float64(sh.frontier(statsProc)) })
 	}
-
-	m.reg.CounterFunc("service_supervision_restarts_total",
-		"Worker incarnations respawned after a crash.", nil,
-		func() float64 {
-			var n int64
-			for _, sh := range s.shards {
-				for _, sl := range sh.slots {
-					sl.mu.Lock()
-					n += sl.restarts
-					sl.mu.Unlock()
-				}
-			}
-			return float64(n)
-		})
-	m.reg.CounterFunc("service_supervision_condemned_total",
-		"Slots permanently condemned by the crash-loop breaker.", nil,
-		func() float64 { return float64(s.condemnedSlots.Load()) })
-	m.reg.CounterFunc("service_supervision_spares_exhausted_total",
-		"Respawns refused because the virtual seat pool ran dry.", nil,
-		func() float64 { return float64(s.sparesExhausted.Load()) })
 
 	if a := s.audit; a != nil {
 		m.reg.CounterFunc("service_audit_sampled_total",

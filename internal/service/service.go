@@ -38,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -221,10 +222,6 @@ type Store struct {
 	joins      []func(*sched.Proc) // one per original worker, in spawn order
 	superJoins []func(*sched.Proc) // one per shard supervisor
 
-	// Supervision counters (see SupervisionStats).
-	condemnedSlots  atomic.Int64
-	sparesExhausted atomic.Int64
-
 	// debugDropPuts injects a serving-tier bug for checker canaries: puts
 	// on this key are acknowledged but never applied. Set only by in-package
 	// test scenarios, before any traffic.
@@ -350,7 +347,7 @@ func (s *Store) Metrics() *metrics.Registry { return s.mets.reg }
 // virtual runtime use DoOn (or DoTimeoutOn for deadline-bounded waits)
 // from a proc of the store's run.
 func (s *Store) Do(ctx context.Context, op Op) (Result, error) {
-	return s.do(nil, ctx, op)
+	return s.do(nil, ctx, op, noTimeout)
 }
 
 // DoOn is Do for virtual-runtime clients: p is the submitting proc of the
@@ -358,7 +355,7 @@ func (s *Store) Do(ctx context.Context, op Op) (Result, error) {
 // a cooperative Park on p — the run's policy decides when the submitter
 // advances. It also works on the free runtime with a free-mode proc.
 func (s *Store) DoOn(p *sched.Proc, op Op) (Result, error) {
-	return s.do(p, context.Background(), op)
+	return s.do(p, context.Background(), op, noTimeout)
 }
 
 // DoTimeoutOn is DoOn with a completion deadline of timeout runtime clock
@@ -367,28 +364,7 @@ func (s *Store) DoOn(p *sched.Proc, op Op) (Result, error) {
 // wait — backpressure on a full queue still blocks, and an ErrDeadline'd
 // command may still commit (see Do); retry with the same Op.ID.
 func (s *Store) DoTimeoutOn(p *sched.Proc, op Op, timeout int64) (Result, error) {
-	if op.Kind >= NumOpKinds {
-		return Result{}, fmt.Errorf("service: invalid op kind %d", op.Kind)
-	}
-	if err := s.fireSend(p); err != nil {
-		return Result{}, err
-	}
-	r := s.rt.newRequest(p, op)
-	sh := s.shardOf(op.Key)
-	if err := s.rt.beginSubmit(); err != nil {
-		return Result{}, err
-	}
-	r.call = s.clock.Add(1)
-	err := sh.q.send(p, context.Background(), r)
-	s.rt.endSubmit()
-	if err != nil {
-		return Result{}, err
-	}
-	s.mets.inflight.AddAt(sh.id, 1)
-	if err := s.rt.awaitUntil(p, r, s.rt.now(p)+timeout); err != nil {
-		return Result{}, err
-	}
-	return r.res, nil
+	return s.do(p, context.Background(), op, max(timeout, 0))
 }
 
 // fireSend fires the queue.send fault point on the single-op submit path.
@@ -412,7 +388,13 @@ func (s *Store) fireSend(p *sched.Proc) error {
 	return nil
 }
 
-func (s *Store) do(p *sched.Proc, ctx context.Context, op Op) (Result, error) {
+// noTimeout is do's timeout for callers whose completion wait is bounded
+// only by their context.
+const noTimeout = -1
+
+// do is the single-op submit path. timeout >= 0 bounds the completion wait
+// on the runtime clock, measured from the enqueue (DoTimeoutOn).
+func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Result, error) {
 	if op.Kind >= NumOpKinds {
 		return Result{}, fmt.Errorf("service: invalid op kind %d", op.Kind)
 	}
@@ -431,7 +413,12 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op) (Result, error) {
 		return Result{}, err
 	}
 	s.mets.inflight.AddAt(sh.id, 1)
-	if err := s.rt.await(p, ctx, r); err != nil {
+	if timeout >= 0 {
+		err = s.rt.awaitUntil(p, r, s.rt.now(p)+timeout)
+	} else {
+		err = s.rt.await(p, ctx, r)
+	}
+	if err != nil {
 		return Result{}, err
 	}
 	return r.res, nil
@@ -571,15 +558,45 @@ type LatencySummary struct {
 	Hist sim.Histogram `json:"hist"`
 }
 
-func summarize(h sim.Histogram) LatencySummary {
+// summarize condenses a registry histogram under the registry's quantile
+// rules (floor rank, upper bucket bound), so /stats and /metrics report the
+// same numbers.
+func summarize(h metrics.HistogramSnapshot) LatencySummary {
+	hist := histOf(h)
 	return LatencySummary{
 		Count:  h.Count,
 		MeanNs: h.Mean(),
 		P50Ns:  h.Quantile(0.50),
 		P99Ns:  h.Quantile(0.99),
-		MaxNs:  h.Max,
-		Hist:   h,
+		MaxNs:  hist.Max,
+		Hist:   hist,
 	}
+}
+
+// histOf re-buckets a registry snapshot into the sim.Histogram shape Stats
+// has always carried: the bucket with upper bound 2^e becomes Buckets[e],
+// the +Inf bucket the one after the last bound. Max is the upper bound of
+// the highest non-empty bucket (the last finite bound for +Inf, as in
+// HistogramSnapshot.Quantile).
+func histOf(h metrics.HistogramSnapshot) sim.Histogram {
+	out := sim.Histogram{Count: h.Count, Sum: h.Sum}
+	last := len(h.Bounds) - 1
+	for i, c := range h.Counts {
+		if c == 0 {
+			continue
+		}
+		bound := h.Bounds[min(i, last)]
+		b := bits.Len64(uint64(bound - 1)) // bound == 2^b
+		if i > last {
+			b++
+		}
+		for len(out.Buckets) <= b {
+			out.Buckets = append(out.Buckets, 0)
+		}
+		out.Buckets[b] += c
+		out.Max = bound
+	}
+	return out
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -630,46 +647,60 @@ var statsProc = sched.FreeProc(-1)
 // Stats snapshots the store. It is safe to call concurrently with traffic
 // and after Close (on a virtual runtime: after the run has executed).
 func (s *Store) Stats() Stats {
+	st := MergedStats([]*Store{s})
+	st.Faults = s.faults.Stats()
+	return st
+}
+
+// MergedStats is the Stats of several stores taken as one (a cluster node's
+// per-shard replica stores): a read-only view over their metrics registries
+// — counters summed, histograms merged bucket by bucket — plus each shard's
+// live queue depth and log length and the auditors' progress. Faults is
+// left nil (fault sets are per store).
+func MergedStats(stores []*Store) Stats {
 	st := Stats{
-		Shards:          s.cfg.Shards,
-		WorkersPerShard: s.cfg.WorkersPerShard,
-		Ops:             make(map[string]int64, NumOpKinds),
-		Latency:         make(map[string]LatencySummary, NumOpKinds),
-		QueueDepth:      make([]int, len(s.shards)),
-		Committed:       make([]int64, len(s.shards)),
+		Ops:     make(map[string]int64, NumOpKinds),
+		Latency: make(map[string]LatencySummary, NumOpKinds),
 	}
-	var lat [NumOpKinds]sim.Histogram
-	var recovery sim.Histogram
-	for si, sh := range s.shards {
-		st.QueueDepth[si] = sh.q.len()
-		for _, sl := range sh.slots {
-			pos := sl.committed.Read(statsProc)
-			if pos > st.Committed[si] {
-				st.Committed[si] = pos
-			}
-			sl.mu.Lock()
-			for k := 0; k < NumOpKinds; k++ {
-				st.Ops[OpKind(k).String()] += sl.ops[k]
-				st.TotalOps += sl.ops[k]
-				lat[k].Merge(sl.latency[k])
-			}
-			st.Batches += sl.batches
-			st.BatchSize.Merge(sl.batchSize)
-			st.Supervision.Restarts += sl.restarts
-			recovery.Merge(sl.recovery)
-			sl.mu.Unlock()
+	var lat [NumOpKinds]metrics.HistogramSnapshot
+	var batchOcc, recovery metrics.HistogramSnapshot
+	for _, s := range stores {
+		st.Shards += s.cfg.Shards
+		st.WorkersPerShard = s.cfg.WorkersPerShard
+		for _, sh := range s.shards {
+			st.QueueDepth = append(st.QueueDepth, sh.q.len())
+			st.Committed = append(st.Committed, sh.frontier(statsProc))
+		}
+		m := s.mets
+		for k := range lat {
+			st.Ops[OpKind(k).String()] += m.ops[k].Value()
+			lat[k].Merge(m.latency[k].Snapshot())
+		}
+		st.Batches += m.batches.Value()
+		batchOcc.Merge(m.batchOcc.Snapshot())
+		recovery.Merge(m.recovery.Snapshot())
+		sup := &st.Supervision
+		sup.Enabled = sup.Enabled || s.cfg.Supervise.Enabled
+		sup.Restarts += m.restarts.Value()
+		sup.Condemned += m.condemned.Value()
+		sup.SparesExhausted += m.sparesExhausted.Value()
+		if s.audit != nil {
+			a := s.audit.stats()
+			st.Audit.SampledOps += a.SampledOps
+			st.Audit.DroppedOps += a.DroppedOps
+			st.Audit.WindowsChecked += a.WindowsChecked
+			st.Audit.Violations += a.Violations
+			st.Audit.Truncated += a.Truncated
+			st.Audit.Gaps += a.Gaps
+			st.Audit.ViolationSamples = append(st.Audit.ViolationSamples, a.ViolationSamples...)
 		}
 	}
-	for k := 0; k < NumOpKinds; k++ {
-		st.Latency[OpKind(k).String()] = summarize(lat[k])
+	for k := range lat {
+		kind := OpKind(k).String()
+		st.TotalOps += st.Ops[kind]
+		st.Latency[kind] = summarize(lat[k])
 	}
-	st.Supervision.Enabled = s.cfg.Supervise.Enabled
-	st.Supervision.Condemned = s.condemnedSlots.Load()
-	st.Supervision.SparesExhausted = s.sparesExhausted.Load()
+	st.BatchSize = histOf(batchOcc)
 	st.Supervision.Recovery = summarize(recovery)
-	if s.audit != nil {
-		st.Audit = s.audit.stats()
-	}
-	st.Faults = s.faults.Stats()
 	return st
 }

@@ -2,13 +2,11 @@ package service
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/universal"
 )
 
@@ -119,6 +117,18 @@ func newShard(s *Store, id int) *shard {
 	return sh
 }
 
+// frontier returns the shard's log length: the highest position any of its
+// slots has published.
+func (sh *shard) frontier(p *sched.Proc) int64 {
+	var max int64
+	for _, sl := range sh.slots {
+		if pos := sl.committed.Read(p); pos > max {
+			max = pos
+		}
+	}
+	return max
+}
+
 // truncate releases log cells every live slot's replica has passed, so a
 // long-running store does not pin every committed batch (and its client
 // requests) forever. Published positions only trail the replicas, so the
@@ -143,13 +153,13 @@ func (sh *shard) truncate(p *sched.Proc) {
 	sh.log.Truncate(int(min))
 }
 
-// slot is one submitter seat of a shard. The replica, its published
-// position, and the seat's statistics live here — not on any particular
-// worker goroutine/proc — so they survive worker incarnations: when an
-// incarnation crashes, the supervisor respawns a new one onto the same
-// slot, which finds the replica already holding the decided prefix and
-// resumes from the shard frontier. A crash costs latency, never capacity
-// and never replayed work.
+// slot is one submitter seat of a shard. The replica and its published
+// position live here, and the seat's statistics in stripe gid of the store's
+// metrics registry — not on any particular worker goroutine/proc — so they
+// survive worker incarnations: when an incarnation crashes, the supervisor
+// respawns a new one onto the same slot, which finds the replica already
+// holding the decided prefix and resumes from the shard frontier. A crash
+// costs latency, never capacity and never replayed work.
 type slot struct {
 	sh  *shard
 	idx int // index within the shard
@@ -180,14 +190,6 @@ type slot struct {
 	buf      []*request
 	inflight *batch
 	diedAt   int64
-
-	mu        sync.Mutex
-	restarts  int64
-	ops       [NumOpKinds]int64
-	batches   int64
-	batchSize sim.Histogram
-	latency   [NumOpKinds]sim.Histogram
-	recovery  sim.Histogram // crash-to-first-commit latency, runtime clock units
 }
 
 // syncInterval is how often an idle free-runtime worker catches its replica
@@ -296,12 +298,7 @@ func (sl *slot) recoverPrev(p *sched.Proc) {
 // (all positions below the shard frontier are decided, so Sync never
 // proposes), publishes the new position, and truncates the log.
 func (sl *slot) catchUp(p *sched.Proc) {
-	var frontier int64
-	for _, o := range sl.sh.slots {
-		if pos := o.committed.Read(p); pos > frontier {
-			frontier = pos
-		}
-	}
+	frontier := sl.sh.frontier(p)
 	if int(frontier) <= sl.rep.Pos() {
 		return
 	}
@@ -343,25 +340,15 @@ func (sl *slot) finish(p *sched.Proc, b *batch) {
 		b.counted = true
 		ret := st.clock.Add(1)
 		now := st.rt.now(p)
-		recovered := int64(-1)
+		// The registry is the store's only per-op ledger (Stats is a view
+		// over it). Records ride the counted guard, so a crash mid-finish
+		// never double-counts a batch: 0 allocs, no lock, single-writer
+		// stripe (this slot).
+		mets := st.mets
 		if sl.diedAt != 0 {
-			recovered = now - sl.diedAt
+			mets.recovery.ObserveAt(sl.gid, now-sl.diedAt)
 			sl.diedAt = 0
 		}
-		sl.mu.Lock()
-		sl.batches++
-		sl.batchSize.Observe(int64(len(b.reqs)))
-		for _, r := range b.reqs {
-			sl.ops[r.op.Kind]++
-			sl.latency[r.op.Kind].Observe(now - r.start)
-		}
-		if recovered >= 0 {
-			sl.recovery.Observe(recovered)
-		}
-		sl.mu.Unlock()
-		// Metrics ride the same counted guard, so a crash mid-finish never
-		// double-counts a batch: 0 allocs, single-writer stripe (this slot).
-		mets := st.mets
 		mets.batches.IncAt(sl.gid)
 		mets.batchOcc.ObserveAt(sl.gid, int64(len(b.reqs)))
 		for _, r := range b.reqs {

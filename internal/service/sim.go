@@ -607,7 +607,7 @@ func (sc vscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 				stats.Audit.Violations, stats.Audit.ViolationSamples))
 		}
 		if sc.reloads > 0 {
-			out = append(out, reloadOracle(store, st, stats, sc.reloads)...)
+			out = append(out, reloadOracle(store, vr, st, stats, sc.reloads)...)
 		}
 		switch sc.mode {
 		case fairComplete, drainComplete:
@@ -728,10 +728,11 @@ func (sc vscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 
 // reloadOracle asserts the reload scenario's extra clauses: every planned
 // valid reload applied, the invalid one was rejected, and the metrics
-// registry agrees exactly with the run's ground truth — under the virtual
+// registry (through its Stats view) agrees exactly with the history
+// recorder's independent record of what committed — under the virtual
 // runtime every record happens inside the controlled run, so the counters
 // are deterministic in (scenario, seed) and == is the right comparison.
-func reloadOracle(store *Store, st *runState, stats Stats, want int) []string {
+func reloadOracle(store *Store, vr *VirtualRuntime, st *runState, stats Stats, want int) []string {
 	var out []string
 	if st.reloadsApplied != want {
 		out = append(out, fmt.Sprintf(
@@ -740,29 +741,26 @@ func reloadOracle(store *Store, st *runState, stats Stats, want int) []string {
 	if st.badAccepted {
 		out = append(out, "reload violated: out-of-range tunables were accepted")
 	}
-	var mops int64
-	for k := 0; k < NumOpKinds; k++ {
-		mops += store.mets.ops[k].Value()
+	var committed [NumOpKinds]int64
+	for _, rec := range vr.rec.records {
+		committed[rec.r.op.Kind]++
 	}
-	if mops != stats.TotalOps {
-		out = append(out, fmt.Sprintf(
-			"metrics accounting violated: service_ops_total %d != stats %d", mops, stats.TotalOps))
+	for k, n := range committed {
+		kind := OpKind(k).String()
+		if stats.Ops[kind] != n || stats.Latency[kind].Count != n {
+			out = append(out, fmt.Sprintf(
+				"metrics accounting violated: %s: service_ops_total %d, latency histogram count %d, history committed %d",
+				kind, stats.Ops[kind], stats.Latency[kind].Count, n))
+		}
 	}
-	if got := store.mets.batches.Value(); got != stats.Batches {
+	if stats.BatchSize.Count != stats.Batches || stats.BatchSize.Sum != int64(vr.CommittedOps()) {
 		out = append(out, fmt.Sprintf(
-			"metrics accounting violated: service_batches_total %d != stats %d", got, stats.Batches))
+			"metrics accounting violated: occupancy histogram holds %d batches of %d ops, service_batches_total %d, history committed %d",
+			stats.BatchSize.Count, stats.BatchSize.Sum, stats.Batches, vr.CommittedOps()))
 	}
 	if got := store.mets.inflight.Value(); got != 0 {
 		out = append(out, fmt.Sprintf(
 			"metrics accounting violated: service_inflight %d after drain, want 0", got))
-	}
-	var lat int64
-	for k := 0; k < NumOpKinds; k++ {
-		lat += store.mets.latency[k].Count()
-	}
-	if lat != stats.TotalOps {
-		out = append(out, fmt.Sprintf(
-			"metrics accounting violated: latency histogram count %d != stats %d", lat, stats.TotalOps))
 	}
 	return out
 }

@@ -71,6 +71,9 @@ func (sh *shard) supervise(p *sched.Proc) {
 	defBase, defCap := st.rt.backoffDefaults()
 	rng := rand.New(rand.NewPCG(cfg.JitterSeed, uint64(sh.id)))
 	done := make([]bool, len(sh.slots))
+	// restarts is each slot's spent crash budget. This loop is its only
+	// reader and writer; the count operators see is mets.restarts.
+	restarts := make([]int, len(sh.slots))
 	closing := false
 	settled := func() bool {
 		for i, sl := range sh.slots {
@@ -95,9 +98,7 @@ func (sh *shard) supervise(p *sched.Proc) {
 			continue
 		}
 		done[sl.idx] = false
-		sl.mu.Lock()
-		restarts := sl.restarts
-		sl.mu.Unlock()
+		spent := restarts[sl.idx]
 		// Backoff and the crash budget are re-read per crash, so a config
 		// reload applies to the very next restart decision.
 		tun := st.tunables()
@@ -108,24 +109,23 @@ func (sh *shard) supervise(p *sched.Proc) {
 		if max <= 0 {
 			max = defCap
 		}
-		if restarts >= int64(tun.MaxRestarts) {
+		if spent >= tun.MaxRestarts {
 			// Crash-loop breaker: the slot burned its whole restart budget.
 			sl.condemned.Store(true)
-			st.condemnedSlots.Add(1)
+			st.mets.condemned.Inc()
 			continue
 		}
-		d := base << uint(restarts)
+		d := base << uint(spent)
 		if d > max {
 			d = max
 		}
 		d += rng.Int64N(base)
 		st.rt.sleep(p, d)
-		sl.mu.Lock()
-		sl.restarts++
-		sl.mu.Unlock()
+		restarts[sl.idx]++
+		st.mets.restarts.IncAt(sl.gid)
 		if !st.rt.respawn(sl.incarnation()) {
 			sl.condemned.Store(true)
-			st.sparesExhausted.Add(1)
+			st.mets.sparesExhausted.Inc()
 		}
 	}
 }

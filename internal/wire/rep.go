@@ -332,4 +332,6 @@ func decResults(b []byte, i int) ([]service.Result, int, error) {
 
 // IsRepOpcode reports whether op is one of the one-way replication
 // opcodes (docs/PROTOCOL.md §5).
-func IsRepOpcode(op byte) bool { return op >= OpcodeRepHeartbeat && op <= OpcodeRepOwner }
+func IsRepOpcode(op byte) bool {
+	return op >= OpcodeRepHeartbeat && op <= OpcodeRepOwner && op != opcodeRepRetired
+}

@@ -142,7 +142,7 @@ func TestRepRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, r := range cases {
-		frame, err := AppendRepFrame(GetBuffer(), OpcodeRepAck, &r)
+		frame, err := AppendRepFrame(GetBuffer(), OpcodeRepHeartbeat, &r)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -222,13 +222,13 @@ func TestRepEncodeRejectsOversized(t *testing.T) {
 
 // TestIsRepOpcode pins the §5 opcode range.
 func TestIsRepOpcode(t *testing.T) {
-	for _, op := range []byte{OpcodeOp, OpcodeBatch, OpcodeStats, OpcodeDrain, OpcodePing, 0x10, 0x7F} {
+	for _, op := range []byte{OpcodeOp, OpcodeBatch, OpcodeStats, OpcodeDrain, OpcodePing, opcodeRepRetired, 0x10, 0x7F} {
 		if IsRepOpcode(op) {
 			t.Fatalf("opcode 0x%02x misclassified as replication", op)
 		}
 	}
 	for op := OpcodeRepHeartbeat; op <= OpcodeRepOwner; op++ {
-		if !IsRepOpcode(op) {
+		if op != opcodeRepRetired && !IsRepOpcode(op) {
 			t.Fatalf("opcode 0x%02x not classified as replication", op)
 		}
 	}

@@ -94,8 +94,11 @@ const (
 	// OpcodeRepAppend streams committed log entries from a shard owner to
 	// a follower; an entry-less append probes the follower's frontier.
 	OpcodeRepAppend byte = 0x0A
-	// OpcodeRepAck is a follower's cumulative applied frontier.
-	OpcodeRepAck byte = 0x0B
+	// opcodeRepRetired (0x0B) was the dedicated follower-ack frame. Acks are
+	// a section of every replication frame (§5.1) and a heartbeat is their
+	// carrier of last resort, so the opcode is reserved: never sent, and
+	// rejected on receipt like any unknown opcode (IsRepOpcode).
+	opcodeRepRetired byte = 0x0B
 	// OpcodeRepStale fences a deposed owner: the sender has seen a higher
 	// epoch for the shard.
 	OpcodeRepStale byte = 0x0C

@@ -7,11 +7,11 @@
 #
 #   - the exposition is well-formed (names, escapes, TYPE placement,
 #     cumulative histogram buckets, _count == +Inf bucket);
-#   - sum(service_ops_total) equals the ops the loadgen actually completed
-#     (client-side ledger from -summary) AND the server's own /stats total
-#     (two independent accountings of the same traffic);
-#   - supervision restart/condemned counters equal the /stats supervision
-#     report;
+#   - sum(service_ops_total) and the latency histogram's _count equal the
+#     ops the loadgen actually completed (client-side ledger from -summary;
+#     /stats is a view of the same registry, so comparing against it would
+#     prove nothing);
+#   - no worker was restarted or condemned (nothing injects a crash here);
 #   - audit windows were actually checked, with zero violations;
 #   - service_inflight drained back to 0 after the run.
 #
@@ -70,9 +70,6 @@ fi
 
 issued() { sed -n 's/.*"issued": \([0-9]*\).*/\1/p' "$1"; }
 completed=$(( $(issued "$TMP/summary1.json") + $(issued "$TMP/summary2.json") ))
-server_ops="$(stat total_ops)"
-restarts="$(stat restarts)"
-condemned="$(stat condemned)"
 windows="$(stat windows_checked)"
 
 curl -fs "$URL/metrics" >"$TMP/metrics.txt"
@@ -87,10 +84,9 @@ curl -fs "$URL/metrics" >"$TMP/metrics.txt"
   -require service_audit_windows_total \
   -require service_audit_sampled_total \
   -assert "service_ops_total == $completed" \
-  -assert "service_ops_total == $server_ops" \
   -assert "service_op_latency_ns_count == $completed" \
-  -assert "service_supervision_restarts_total == ${restarts:-0}" \
-  -assert "service_supervision_condemned_total == ${condemned:-0}" \
+  -assert "service_supervision_restarts_total == 0" \
+  -assert "service_supervision_condemned_total == 0" \
   -assert "service_audit_windows_total >= 1" \
   -assert "service_audit_windows_total >= ${windows:-1}" \
   -assert "service_audit_violations_total == 0" \
@@ -99,4 +95,4 @@ curl -fs "$URL/metrics" >"$TMP/metrics.txt"
 kill -TERM "$served_pid"
 wait "$served_pid"
 served_pid=""
-echo "metrics-smoke: OK — $completed client ops reconciled against /metrics and /stats"
+echo "metrics-smoke: OK — $completed client ops reconciled against /metrics"

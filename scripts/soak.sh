@@ -103,7 +103,8 @@ wait "$chaos_pid"
 sleep 2 # let in-flight respawns and closed connections settle
 end_g="$(goroutines)"
 end_rss="$(rss_kb)"
-restarts="$(curl -fs "$URL/stats" | sed -n 's/.*"restarts":\([0-9]*\).*/\1/p' | head -n 1)"
+curl -fs "$URL/metrics" >"$TMP/metrics.txt"
+restarts="$(sed -n 's/^service_supervision_restarts_total \([0-9]*\)$/\1/p' "$TMP/metrics.txt")"
 echo "soak: after chaos goroutines=$end_g rss=${end_rss}kB restarts=${restarts:-0}"
 
 if [ "${restarts:-0}" -eq 0 ]; then
@@ -119,19 +120,18 @@ if [ "$end_rss" -gt $((base_rss * 3 + 65536)) ]; then
   exit 1
 fi
 
-# The /metrics view of the same soak: the exposition must be well-formed,
-# the supervision counter must agree that workers were killed, the audit
-# counter must be clean, and the server-side latency histogram's p999 must
+# The rest of the same scrape: the exposition must be well-formed, a
+# restarted worker's first commit must have been timed, the audit counter
+# must be clean, and the server-side latency histogram's p999 must
 # stay bounded. The bound is one power-of-two bucket above the loadgen's
 # 3s client-side gate: the histogram quantile is conservative (it reports
 # the matched bucket's upper bound), and server-side latency excludes the
 # client's retries and network time, so 2^32ns ≈ 4.3s is generous without
 # being vacuous.
-curl -fs "$URL/metrics" >"$TMP/metrics.txt"
 "$TMP/promcheck" -f "$TMP/metrics.txt" \
   -require service_ops_total \
   -require fault_point_fires_total \
-  -assert 'service_supervision_restarts_total >= 1' \
+  -assert 'service_supervision_recovery_ns_count >= 1' \
   -assert 'service_audit_violations_total == 0' \
   -assert 'service_inflight == 0' \
   -quantile 'service_op_latency_ns p0.999 <= 4294967296'
