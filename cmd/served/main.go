@@ -242,8 +242,8 @@ func main() {
 	}
 	if node != nil {
 		cs := node.Status()
-		log.Printf("served: cluster: %d failovers, %d elections, %d condemned replicas, %d redirects, %d route retries",
-			cs.Failovers, cs.Elections, cs.Condemned, cs.Redirects, cs.RouteRetries)
+		log.Printf("served: cluster: %d failovers, %d elections, %d redirects, %d route retries",
+			cs.Failovers, cs.Elections, cs.Redirects, cs.RouteRetries)
 	}
 	a := st.Audit
 	log.Printf("served: audit: %d ops sampled, %d windows checked, %d violations, %d gaps, %d dropped",
@@ -519,8 +519,8 @@ func buildMux(be backend, store *service.Store, node *cluster.Node, faults *faul
 	})
 	if node != nil {
 		// Per-role health: a load balancer fronting the cluster checks
-		// /healthz/frontend on routing targets; an operator watching replica
-		// health checks /healthz/store (503 once any replica is condemned).
+		// /healthz/frontend on routing targets, /healthz/store answers for the
+		// replica role.
 		mux.HandleFunc("GET /healthz/frontend", func(w http.ResponseWriter, r *http.Request) {
 			st := node.Status()
 			if !st.Frontend {
@@ -533,10 +533,6 @@ func buildMux(be backend, store *service.Store, node *cluster.Node, faults *faul
 			st := node.Status()
 			if !st.Store {
 				http.Error(w, "not a store", http.StatusServiceUnavailable)
-				return
-			}
-			if st.Condemned > 0 {
-				http.Error(w, fmt.Sprintf("%d condemned shard replicas", st.Condemned), http.StatusServiceUnavailable)
 				return
 			}
 			fmt.Fprintln(w, "ok")

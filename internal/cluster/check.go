@@ -14,13 +14,16 @@ import (
 // client observation against it:
 //
 //  1. Canonical chain. Per shard, the canonical committed history is the
-//     log of the non-condemned replica with the lexicographically greatest
-//     (last-entry epoch, frontier) — by the election safety argument
-//     (cluster.go's safety notes) that log contains every entry whose
-//     client was answered.
-//  2. Committed-prefix agreement. Every pair of non-condemned replicas
-//     must agree (epoch and ops) on every seq both have committed: a
-//     disagreement the protocol failed to condemn is a split brain.
+//     log of the replica with the lexicographically greatest (last-entry
+//     epoch, frontier) — by the election safety argument (cluster.go's
+//     safety notes) that log contains every entry whose client was
+//     answered.
+//  2. Committed-prefix agreement. Every pair of replicas must agree
+//     (epoch and ops) on every seq both have committed — a disagreement
+//     is a split brain — and no replica may have been asked to replace
+//     an entry it had committed (shardRep.refused): commit-then-apply
+//     never undoes, so the request alone proves an owner answered before
+//     a quorum held the entry.
 //  3. Replay. The canonical chain is replayed through the sequential
 //     state-machine semantics (get/put/cas over per-key registers, with
 //     op-ID dedup exactly like the store's) to recover the result every
@@ -124,29 +127,19 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 	cfg := nodes[0].cfg
 	expected := map[uint64]service.Result{} // op ID -> replayed result, all shards
 	for s := 0; s < cfg.Shards; s++ {
-		// Canonical replica: greatest (lastEpoch, frontier) among the
-		// non-condemned.
+		// Canonical replica: greatest (lastEpoch, frontier).
 		var canon *shardRep
 		var canonNode NodeID
-		live := 0
 		for _, id := range cfg.StoreNodes {
 			sr := nodes[id].shards[s]
-			if sr.condemned {
-				continue
+			if sr.refused {
+				out = append(out, fmt.Sprintf(
+					"shard %d: node %d was asked to replace an entry it had committed", s, id))
 			}
-			live++
 			if canon == nil || sr.lastEpoch > canon.lastEpoch ||
 				(sr.lastEpoch == canon.lastEpoch && sr.frontier > canon.frontier) {
 				canon, canonNode = sr, id
 			}
-		}
-		if canon == nil {
-			out = append(out, fmt.Sprintf("shard %d: every replica condemned", s))
-			continue
-		}
-		if live < cfg.quorum() {
-			out = append(out, fmt.Sprintf("shard %d: only %d live replicas, below quorum %d",
-				s, live, cfg.quorum()))
 		}
 		if canon.base != 0 {
 			out = append(out, fmt.Sprintf("shard %d: canonical log truncated (base %d) — run with RetainLog",
@@ -156,7 +149,7 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 		// Committed-prefix agreement across replicas.
 		for _, id := range cfg.StoreNodes {
 			sr := nodes[id].shards[s]
-			if sr.condemned || id == canonNode {
+			if id == canonNode {
 				continue
 			}
 			lim := sr.committed

@@ -1,13 +1,17 @@
 // Package cluster replicates the serving tier's per-shard logs across a
-// set of nodes. Each shard has one owner at a time: the owner drives the
-// shard's batch window through the idempotent universal construction
-// (internal/service), streams committed log suffixes to the follower
-// replicas, and answers clients only once a majority of replicas has
-// acknowledged the entry — so a committed response survives the owner's
-// death. Followers apply entries continuously, keeping live replicas whose
-// dedup tables already hold every applied client op; failover is therefore
-// an election plus a log reconciliation, not a replay from scratch, and a
-// retried client op lands in the dedup table instead of applying twice.
+// set of nodes. Each shard has one owner at a time: the owner batches
+// client routes into log entries, streams them to the follower replicas,
+// and commits an entry once a majority of replicas holds it. Commit, then
+// apply: on owner and followers alike an entry reaches the replica's store
+// — the idempotent universal construction of internal/service — only after
+// it has committed, so every store is a fold over the decided prefix of the
+// log, nothing ever has to be undone, and the owner answers clients with
+// the results of that apply — a committed response survives the owner's
+// death. Followers apply as commits reach them, keeping live replicas
+// whose dedup tables already hold every applied client op; failover is
+// therefore an election plus a log reconciliation, not a replay from
+// scratch, and a retried client op lands in the dedup table instead of
+// applying twice.
 //
 // The package is written against a sealed Transport seam with two
 // implementations:
@@ -30,10 +34,11 @@
 //
 // Safety notes (why the protocol is linearizable across handoff):
 //
-//   - Acks are cumulative: a follower acknowledging frontier F has applied
-//     every entry ≤ F, so when an entry commits, everything it could have
-//     read from is committed too — an answered read never exposes state
-//     that a failover could roll back.
+//   - Acks are cumulative: a follower acknowledging frontier F holds the
+//     owner's every entry ≤ F, and stores see entries in log order, so
+//     when an entry commits, everything it could have read from is
+//     committed too — an answered read never exposes state that a
+//     failover could roll back.
 //   - Elections use the Raft vote rule: a candidate must present a
 //     (last-entry epoch, frontier) pair lexicographically ≥ the voter's,
 //     and each voter grants one vote per epoch, so the winner's log
@@ -41,10 +46,21 @@
 //   - A new owner appends an empty barrier entry in its own epoch and
 //     counts commits only through it (the Raft §5.4.2 rule), so an
 //     old-epoch entry is never committed by counting alone.
-//   - A replica whose log provably diverged from the elected owner's (it
-//     applied entries a quorum never saw) cannot truncate its state
-//     machine, so it condemns itself: it stops serving, acking and voting.
-//     Condemned replicas cost fault tolerance but never correctness.
+//   - A grant is a promise: the voter adopts the candidate's epoch, and
+//     every frame of an older epoch is fenced from then on, so nothing the
+//     owner it voted out still commits can count this replica.
+//   - A follower trusts only the prefix of its log it has matched, entry
+//     by entry, against the current owner's stream (shardRep.match, reset
+//     to the committed frontier by every new epoch): it appends at
+//     match+1 only, acks and commits no further than match, and an entry
+//     it holds under another epoch than the owner's — a deposed owner's
+//     uncommitted suffix — is dropped, with everything above it, for the
+//     owner's. Nothing above committed has reached a store, so dropping
+//     costs nothing and no replica ever has to retire.
+//   - The owner cuts its log only below what it has applied and every live
+//     follower has committed, and ships that floor in its frames;
+//     followers cut no further. Whichever replica wins the next election
+//     therefore still holds all that any live other is missing.
 package cluster
 
 import (
@@ -109,8 +125,8 @@ type Config struct {
 	// RetransmitEvery paces the owner's resend of unacknowledged suffixes.
 	RetransmitEvery int64
 	// RetainLog keeps the whole replication log in memory (virtual mode:
-	// the checker replays it). Free mode truncates below the committed
-	// frontier acknowledged by all live replicas.
+	// the checker replays it). Free mode truncates below what the owner has
+	// applied and all live replicas have committed.
 	RetainLog bool
 
 	// Logf, when non-nil, receives protocol-level event logs.
@@ -183,8 +199,8 @@ func (c Config) withDefaults(virtual bool) Config {
 }
 
 // quorum is the majority of the full replica set. Membership is static, so
-// the quorum never moves — a condemned or dead replica still counts in the
-// denominator (safety over availability).
+// the quorum never moves — a dead replica still counts in the denominator
+// (safety over availability).
 func (c Config) quorum() int { return len(c.StoreNodes)/2 + 1 }
 
 // pref returns shard s's owner preference order: StoreNodes rotated by s,

@@ -108,8 +108,11 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	for _, n := range freeNodes {
 		freeAudit += n.Stats().Audit.Violations
 	}
-	for _, n := range freeNodes {
-		n.Close()
+	// Followers first: closing the owner (node 0) while they still run lets
+	// one of them win an election and append its barrier before its own
+	// Close lands, and the prefix check below then sees a 14th entry.
+	for i := len(freeNodes) - 1; i >= 0; i-- {
+		freeNodes[i].Close()
 	}
 	freeChain := chain(t, freeNodes[0])
 

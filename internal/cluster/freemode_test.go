@@ -153,7 +153,7 @@ func TestFreeClusterReplicates(t *testing.T) {
 	}
 	for s := 0; s < 2; s++ {
 		sh := nodes[0].ShardState(s)
-		if sh.Condemned || sh.Epoch != 1 {
+		if sh.Epoch != 1 {
 			t.Fatalf("shard %d state: %+v", s, sh)
 		}
 	}

@@ -42,15 +42,14 @@ type pendRoute struct {
 	at    int64 // arrival time; bounds the batch window wait
 }
 
-// inflightEntry is one uncommitted entry in the owner's pipelined window,
-// carrying the client routes (and their already-computed results) it
-// answers once the entry commits. The window is ordered by seq and
-// commits strictly in prefix order — cumulative acks make committing seq
-// c commit everything ≤ c.
+// inflightEntry is one unanswered entry in the owner's pipelined window,
+// carrying the client routes applyCommitted answers once the entry has
+// committed and been applied. The window is ordered by seq and commits
+// strictly in prefix order — cumulative acks make committing seq c commit
+// everything ≤ c.
 type inflightEntry struct {
-	seq     uint64
-	routes  []pendRoute
-	results []service.Result
+	seq    uint64
+	routes []pendRoute
 }
 
 // route is one shard's slice of a client call, tracked by the front end
@@ -72,19 +71,32 @@ type route struct {
 // log, the role (owner or follower), and the owner/election bookkeeping.
 // All fields are event-loop-owned.
 type shardRep struct {
-	shard     int
-	epoch     uint64
-	owner     NodeID
-	isOwner   bool
-	condemned bool
+	shard   int
+	epoch   uint64
+	owner   NodeID
+	isOwner bool
 
-	// Replicated log. entries holds seqs (base, frontier]; an entry's ops
-	// have already been applied to the local store when it is appended.
+	// Replicated log. entries holds seqs (base, frontier]. Appending never
+	// touches the store: applyCommitted alone drives (applied, committed]
+	// through it, in log order, so the store is a fold over the decided
+	// prefix and everything above committed can be dropped. Always
+	// base ≤ applied ≤ committed ≤ match ≤ frontier.
 	base      uint64
 	entries   []wire.RepEntry
 	frontier  uint64
 	lastEpoch uint64 // epoch of the entry at frontier (0 when log empty)
+	// match is the prefix checked entry by entry against the log of the
+	// current epoch's owner (an owner's own frontier): a follower appends
+	// only at match+1, acks match and commits no further. What lies above
+	// it is a deposed owner's suffix until the new owner's stream says
+	// otherwise, so a new epoch resets it to committed.
+	match     uint64
 	committed uint64
+	applied   uint64
+	// refused latches a request to replace an entry at or below committed:
+	// only an owner that answered before a quorum held the entry can cause
+	// one, so the virtual runs' checker reports it (check.go).
+	refused bool
 
 	lastOwnerHeard int64
 
@@ -97,8 +109,11 @@ type shardRep struct {
 	nextSeq  uint64
 	pend     []pendRoute
 	pendSet  map[uint64]struct{}
-	inflight []inflightEntry // uncommitted window, ascending seq
+	inflight []inflightEntry // unanswered window, ascending seq
 	acked    map[NodeID]uint64
+	// ackedCommit is what each follower reports committed; the owner's log
+	// floor never passes a live follower's (see checkCommit).
+	ackedCommit map[NodeID]uint64
 	// sentTo is the highest seq streamed to each follower (≥ acked while
 	// frames are in flight): appends push only the new suffix instead of
 	// re-sending the whole unacked window, and retransmission resets it
@@ -178,7 +193,6 @@ type ShardStatus struct {
 	Owner     NodeID `json:"owner"`
 	Epoch     uint64 `json:"epoch"`
 	IsOwner   bool   `json:"is_owner"`
-	Condemned bool   `json:"condemned"`
 	Frontier  uint64 `json:"frontier"`
 	Committed uint64 `json:"committed"`
 }
@@ -192,7 +206,6 @@ type Status struct {
 	PendingRoutes int           `json:"pending_routes"`
 	Failovers     int64         `json:"failovers"`
 	Elections     int64         `json:"elections"`
-	Condemned     int64         `json:"condemned"`
 	Redirects     int64         `json:"redirects"`
 	RouteRetries  int64         `json:"route_retries"`
 }
@@ -201,7 +214,7 @@ type Status struct {
 func (s Status) OwnedShards() int {
 	n := 0
 	for _, sh := range s.Shards {
-		if sh.IsOwner && !sh.Condemned {
+		if sh.IsOwner {
 			n++
 		}
 	}
@@ -235,7 +248,6 @@ type Node struct {
 	reg            *metrics.Registry
 	cFailovers     *metrics.Counter
 	cElections     *metrics.Counter
-	cCondemned     *metrics.Counter
 	cRedirects     *metrics.Counter
 	cRouteRetries  *metrics.Counter
 	cEntriesSent   *metrics.Counter
@@ -243,12 +255,11 @@ type Node struct {
 	cMsgSent       [16]*metrics.Counter
 	cMsgRecv       [16]*metrics.Counter
 	gOwned         *metrics.Gauge
-	gCondemned     *metrics.Gauge
 	gPendingRoutes *metrics.Gauge
 	drops          *dropCounters
 
-	// debugSkipApply makes this node's followers acknowledge replicated
-	// entries WITHOUT applying them to the local store — the injected
+	// debugSkipApply makes this node's followers mark committed entries
+	// applied WITHOUT applying them to the local store — the injected
 	// stale-read-after-failover bug behind the cluster:stale-canary
 	// must-detect scenario. Never set outside tests.
 	debugSkipApply bool
@@ -258,6 +269,11 @@ type Node struct {
 	// must-detect scenario (entries commit and answer clients before a
 	// quorum holds them). Never set outside tests.
 	debugAckFullWindow bool
+	// debugGrantNoPromise makes this node grant votes WITHOUT adopting the
+	// candidate's epoch, so it keeps acking the owner it just voted out —
+	// the injected broken-promise bug behind the cluster:vote-canary
+	// must-detect scenario. Never set outside tests.
+	debugGrantNoPromise bool
 
 	// Off-loop snapshot for Status, refreshed by the loop.
 	smu       sync.Mutex
@@ -303,13 +319,11 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 	}
 	n.cFailovers = n.reg.Counter("cluster_failovers_total", "elections won by this node", nil)
 	n.cElections = n.reg.Counter("cluster_elections_total", "elections started by this node", nil)
-	n.cCondemned = n.reg.Counter("cluster_condemned_total", "shard replicas condemned on this node", nil)
 	n.cRedirects = n.reg.Counter("cluster_redirects_total", "routes redirected to the current owner", nil)
 	n.cRouteRetries = n.reg.Counter("cluster_route_retries_total", "client routes resent after RouteTimeout", nil)
 	n.cEntriesSent = n.reg.Counter("cluster_entries_replicated_total", "log entries sent to followers", nil)
 	n.cEntriesApp = n.reg.Counter("cluster_entries_applied_total", "replicated log entries applied locally", nil)
 	n.gOwned = n.reg.Gauge("cluster_owned_shards", "shards this node currently owns", nil)
-	n.gCondemned = n.reg.Gauge("cluster_condemned_shards", "shard replicas condemned on this node", nil)
 	n.gPendingRoutes = n.reg.Gauge("cluster_pending_routes", "client routes awaiting RepDone", nil)
 	n.drops = newDropCounters(n.reg)
 	switch t := tr.(type) {
@@ -333,14 +347,15 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 		owner := cfg.pref(s)[0]
 		n.owners[s] = owner
 		sr := &shardRep{
-			shard:   s,
-			epoch:   1,
-			owner:   owner,
-			isOwner: cfg.Store && owner == cfg.ID,
-			nextSeq: 1,
-			pendSet: map[uint64]struct{}{},
-			acked:   map[NodeID]uint64{},
-			sentTo:  map[NodeID]uint64{},
+			shard:       s,
+			epoch:       1,
+			owner:       owner,
+			isOwner:     cfg.Store && owner == cfg.ID,
+			nextSeq:     1,
+			pendSet:     map[uint64]struct{}{},
+			acked:       map[NodeID]uint64{},
+			sentTo:      map[NodeID]uint64{},
+			ackedCommit: map[NodeID]uint64{},
 		}
 		n.shards[s] = sr
 		n.view[s] = ShardStatus{Shard: s, Owner: owner, Epoch: 1, IsOwner: sr.isOwner}
@@ -375,8 +390,7 @@ func (n *Node) Status() Status {
 		Node: n.cfg.ID, Frontend: n.cfg.Frontend, Store: n.cfg.Store,
 		Shards: shards, PendingRoutes: pend,
 		Failovers: n.cFailovers.Value(), Elections: n.cElections.Value(),
-		Condemned: n.cCondemned.Value(), Redirects: n.cRedirects.Value(),
-		RouteRetries: n.cRouteRetries.Value(),
+		Redirects: n.cRedirects.Value(), RouteRetries: n.cRouteRetries.Value(),
 	}
 }
 
@@ -403,7 +417,7 @@ func (n *Node) ShardState(shard int) ShardStatus {
 	sr := n.shards[shard]
 	return ShardStatus{
 		Shard: shard, Owner: sr.owner, Epoch: sr.epoch, IsOwner: sr.isOwner,
-		Condemned: sr.condemned, Frontier: sr.frontier, Committed: sr.committed,
+		Frontier: sr.frontier, Committed: sr.committed,
 	}
 }
 
@@ -629,9 +643,7 @@ func (n *Node) tick(p *sched.Proc) {
 	}
 	if n.cfg.Store {
 		for _, sr := range n.shards {
-			if sr.condemned {
-				continue
-			}
+			n.applyCommitted(p, sr) // retries a store that refused a committed entry
 			if sr.isOwner {
 				n.pump(p, sr)
 				if now-sr.lastRetx >= n.cfg.RetransmitEvery {
@@ -704,10 +716,10 @@ func (n *Node) sendHeartbeats(p *sched.Proc) {
 	var commits []wire.RepAck
 	if n.cfg.Store {
 		for _, sr := range n.shards {
-			if sr.isOwner && !sr.condemned {
+			if sr.isOwner {
 				commits = append(commits, wire.RepAck{
 					Kind: wire.AckCommit, Shard: uint16(sr.shard),
-					Epoch: sr.epoch, Frontier: sr.committed,
+					Epoch: sr.epoch, Frontier: sr.committed, Last: sr.base,
 				})
 			}
 		}
@@ -745,8 +757,8 @@ func (n *Node) takeAcks(to NodeID, max int) []wire.RepAck {
 		if !sr.ackOwed {
 			continue
 		}
-		if sr.condemned || sr.isOwner {
-			sr.ackOwed = false // condemned replicas never ack; owners owe none
+		if sr.isOwner {
+			sr.ackOwed = false // owners owe none
 			continue
 		}
 		if sr.owner != to {
@@ -754,8 +766,8 @@ func (n *Node) takeAcks(to NodeID, max int) []wire.RepAck {
 		}
 		sr.ackOwed = false
 		acks = append(acks, wire.RepAck{
-			Kind: wire.AckApplied, Shard: uint16(sr.shard), Epoch: sr.epoch,
-			Frontier: sr.frontier, Last: sr.lastEpoch,
+			Kind: wire.AckAppended, Shard: uint16(sr.shard), Epoch: sr.epoch,
+			Frontier: sr.match, Last: sr.committed,
 		})
 		if len(acks) >= max {
 			break
@@ -774,13 +786,13 @@ func (n *Node) flushAcks(p *sched.Proc) {
 		return
 	}
 	for _, sr := range n.shards {
-		if sr.ackOwed && !sr.condemned && !sr.isOwner {
+		if sr.ackOwed && !sr.isOwner {
 			n.sendRep(p, sr.owner, wire.OpcodeRepHeartbeat, wire.Rep{})
 		}
 	}
 }
 
-// onAcks dispatches the piggybacked acks of one frame: applied-frontier
+// onAcks dispatches the piggybacked acks of one frame: appended-frontier
 // acks feed the owner's commit machinery, commit keepalives feed the
 // follower's.
 func (n *Node) onAcks(p *sched.Proc, m *message) {
@@ -791,11 +803,46 @@ func (n *Node) onAcks(p *sched.Proc, m *message) {
 			continue
 		}
 		switch a.Kind {
-		case wire.AckApplied:
-			n.onAppliedAck(p, from, a)
+		case wire.AckAppended:
+			n.onAppendedAck(p, from, a)
 		case wire.AckCommit:
-			n.onCommitKeepalive(p, from, a)
+			// The owner's heartbeat-borne keepalive: an append frame without
+			// entries (Last carries the owner's log floor).
+			if sr := n.shards[a.Shard]; n.heardOwner(p, sr, from, a.Epoch) {
+				n.followCommit(p, sr, a.Frontier, a.Last)
+			}
 		}
+	}
+}
+
+// applyCommitted drives the committed entries the local store has not seen
+// through it in log order — the only path into the store, on owners and
+// followers alike — and, on the owner, answers each entry's routes with
+// the results of that call.
+func (n *Node) applyCommitted(p *sched.Proc, sr *shardRep) {
+	for sr.applied < sr.committed {
+		e := sr.entryAt(sr.applied + 1)
+		var results []service.Result
+		if len(e.Ops) > 0 && (sr.isOwner || !n.debugSkipApply) {
+			var err error
+			if results, err = n.apply(p, sr.shard, e.Ops); err != nil {
+				// Closing or saturated: the entry stays committed, tick retries.
+				n.cfg.Logf("cluster: node %d shard %d: apply: %v", n.cfg.ID, sr.shard, err)
+				return
+			}
+			n.cEntriesApp.Inc()
+		}
+		sr.applied = e.Seq
+		if len(sr.inflight) == 0 || sr.inflight[0].seq != e.Seq {
+			continue // inherited from a previous owner: its clients retransmit
+		}
+		for _, r := range sr.inflight[0].routes {
+			delete(sr.pendSet, r.reqid)
+			n.sendDone(p, sr.shard, r.from, r.reqid, results[:len(r.ops)])
+			results = results[len(r.ops):]
+		}
+		sr.inflight[0] = inflightEntry{}
+		sr.inflight = sr.inflight[1:]
 	}
 }
 
@@ -803,9 +850,6 @@ func (n *Node) onAcks(p *sched.Proc, m *message) {
 // universal construction: ops with ids already applied replay their cached
 // results).
 func (n *Node) apply(p *sched.Proc, shard int, ops []service.Op) ([]service.Result, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
 	if p != nil {
 		return n.stores[shard].DoBatchOn(p, ops)
 	}
@@ -816,19 +860,16 @@ func (n *Node) syncView(sr *shardRep) {
 	n.smu.Lock()
 	n.view[sr.shard] = ShardStatus{
 		Shard: sr.shard, Owner: sr.owner, Epoch: sr.epoch, IsOwner: sr.isOwner,
-		Condemned: sr.condemned, Frontier: sr.frontier, Committed: sr.committed,
+		Frontier: sr.frontier, Committed: sr.committed,
 	}
 	n.smu.Unlock()
-	var owned, cond int64
+	var owned int64
 	for _, s := range n.shards {
-		if s.condemned {
-			cond++
-		} else if s.isOwner {
+		if s.isOwner {
 			owned++
 		}
 	}
 	n.gOwned.Set(owned)
-	n.gCondemned.Set(cond)
 }
 
 // ---------------------------------------------------------------------------
@@ -957,7 +998,7 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 	}
 	sr := n.shards[m.rep.Shard]
 	from := NodeID(m.rep.From)
-	if !sr.isOwner || sr.condemned {
+	if !sr.isOwner {
 		n.sendRep(p, from, wire.OpcodeRepRedirect, wire.Rep{
 			Shard: m.rep.Shard, ReqID: m.rep.ReqID, Peer: uint16(sr.owner),
 		})
@@ -987,15 +1028,14 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 
 // pump drives the owner's replication pipeline: while the pipelined
 // window has room and routes are pending, batch routes into the next log
-// entry, apply it locally (results become the client answers), and stream
-// it to the followers. Up to MaxInflightEntries entries are outstanding
-// per shard; commits stay strictly in order (checkCommit answers
-// prefixes). With a BatchWindow, a non-full batch waits out the window
-// before cutting — tick re-pumps, so the extra wait is bounded by
+// entry and stream it to the followers. Up to MaxInflightEntries entries
+// are outstanding per shard; commits stay strictly in order (checkCommit
+// answers prefixes). With a BatchWindow, a non-full batch waits out the
+// window before cutting — tick re-pumps, so the extra wait is bounded by
 // BatchWindow + TickEvery.
 func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 	for len(sr.inflight) < n.cfg.MaxInflightEntries && len(sr.pend) > 0 &&
-		!n.stopping && sr.isOwner && !sr.condemned {
+		!n.stopping && sr.isOwner {
 		if n.cfg.BatchWindow > 0 {
 			total := 0
 			for _, r := range sr.pend {
@@ -1024,27 +1064,18 @@ func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 		for _, r := range batch {
 			ops = append(ops, r.ops...)
 		}
-		results, err := n.apply(p, sr.shard, ops)
-		if err != nil {
-			// Closing or saturated: drop the routes, the front ends retry.
-			n.cfg.Logf("cluster: node %d shard %d: apply: %v", n.cfg.ID, sr.shard, err)
-			for _, r := range batch {
-				delete(sr.pendSet, r.reqid)
-			}
-			return
-		}
-		n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch, Ops: ops}, batch, results)
+		n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch, Ops: ops}, batch)
 	}
 }
 
-// appendEntry installs the owner's next log entry (already applied
-// locally) and streams the new suffix to followers that aren't already
-// being streamed it.
-func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, batch []pendRoute, results []service.Result) {
+// appendEntry installs the owner's next log entry and streams the new
+// suffix to followers that aren't already being streamed it.
+func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, batch []pendRoute) {
 	sr.appendLocal(e)
 	sr.nextSeq = e.Seq + 1
+	sr.match = sr.frontier
 	sr.acked[n.cfg.ID] = sr.frontier
-	sr.inflight = append(sr.inflight, inflightEntry{seq: e.Seq, routes: batch, results: results})
+	sr.inflight = append(sr.inflight, inflightEntry{seq: e.Seq, routes: batch})
 	for _, f := range n.cfg.StoreNodes {
 		if f != n.cfg.ID && sr.sendFrom(f) < sr.frontier {
 			n.sendSuffix(p, sr, f)
@@ -1058,7 +1089,7 @@ func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, batch [
 // frontier probe when the follower is behind the truncation point).
 func (n *Node) sendSuffix(p *sched.Proc, sr *shardRep, f NodeID) {
 	af := sr.sendFrom(f)
-	rep := wire.Rep{Shard: uint16(sr.shard), Epoch: sr.epoch, Frontier: sr.committed}
+	rep := wire.Rep{Shard: uint16(sr.shard), Epoch: sr.epoch, Frontier: sr.committed, Seq: sr.base}
 	if af < sr.frontier && af >= sr.base {
 		// Chunk by encoded byte size as well as entry count: every entry
 		// fits alone (pump bounds entries by maxEntryBytes ≤ maxChunkBytes),
@@ -1084,75 +1115,27 @@ func (n *Node) sendSuffix(p *sched.Proc, sr *shardRep, f NodeID) {
 	n.sendRep(p, f, wire.OpcodeRepAppend, rep)
 }
 
-// onAppliedAck advances a follower's acknowledged frontier, checks for
-// log divergence, commits what a quorum now holds, and pushes the next
-// chunk to a follower with more suffix outstanding than streamed.
-func (n *Node) onAppliedAck(p *sched.Proc, from NodeID, a *wire.RepAck) {
+// onAppendedAck advances a follower's acknowledged frontier, commits what
+// a quorum now holds, and pushes the next chunk to a follower with more
+// suffix outstanding than streamed.
+func (n *Node) onAppendedAck(p *sched.Proc, from NodeID, a *wire.RepAck) {
 	sr := n.shards[a.Shard]
-	if !sr.isOwner || sr.condemned || a.Epoch != sr.epoch {
+	if !sr.isOwner || a.Epoch != sr.epoch {
 		return
 	}
-	af, lastE := a.Frontier, a.Last
+	af := a.Frontier
 	if n.debugAckFullWindow {
-		af, lastE = sr.frontier, sr.lastEpoch
+		af = sr.frontier
 	}
-	diverged := af > sr.frontier
-	if !diverged && af > 0 {
-		if ex := sr.entryAt(af); ex != nil && ex.Epoch != lastE {
-			diverged = true
-		}
+	if af > sr.frontier {
+		return // no follower holds more of this epoch's log than its owner
 	}
-	if diverged {
-		// The follower holds entries no quorum committed under a deposed
-		// owner; it cannot truncate its state machine, so it must condemn.
-		n.sendRep(p, from, wire.OpcodeRepStale, wire.Rep{
-			Shard: uint16(a.Shard), Epoch: sr.epoch, Peer: uint16(from),
-		})
-		return
-	}
-	if af > sr.acked[from] {
-		sr.acked[from] = af
-	}
+	sr.acked[from] = max(sr.acked[from], af)
+	sr.ackedCommit[from] = max(sr.ackedCommit[from], a.Last)
 	n.checkCommit(p, sr)
 	if sr.sendFrom(from) < sr.frontier {
 		n.sendSuffix(p, sr, from)
 	}
-}
-
-// onCommitKeepalive is the follower half of the owner's heartbeat-borne
-// AckCommit: refresh owner liveness, advance the committed frontier, and
-// owe an applied ack back so the owner's view tracks our real frontier —
-// the probe/ack exchange that used to ride dedicated empty appends.
-func (n *Node) onCommitKeepalive(p *sched.Proc, from NodeID, a *wire.RepAck) {
-	sr := n.shards[a.Shard]
-	if sr.condemned {
-		return
-	}
-	if a.Epoch < sr.epoch {
-		// A deposed owner's keepalive: fence it with the current epoch.
-		n.sendRep(p, from, wire.OpcodeRepStale, wire.Rep{
-			Shard: uint16(a.Shard), Epoch: sr.epoch, Peer: uint16(sr.owner),
-		})
-		return
-	}
-	if a.Epoch > sr.epoch || sr.owner != from || sr.isOwner {
-		n.adoptOwner(p, sr, a.Epoch, from)
-	}
-	sr.lastOwnerHeard = n.tr.now(p)
-	if a.Frontier > sr.committed {
-		c := a.Frontier
-		if c > sr.frontier {
-			c = sr.frontier
-		}
-		if c > sr.committed {
-			sr.committed = c
-			if !n.cfg.RetainLog {
-				sr.truncate(sr.committed)
-			}
-			n.syncView(sr)
-		}
-	}
-	sr.ackOwed = true
 }
 
 // sendDone answers one route, chunking the results so every frame stays
@@ -1190,8 +1173,8 @@ func (n *Node) sendDone(p *sched.Proc, shard int, to NodeID, reqid uint64, resul
 // has acknowledged — but only through entries of the owner's own epoch
 // (the Raft §5.4.2 rule; the barrier entry appended at election makes this
 // live; acks are cumulative, so committing seq c commits the prefix
-// beneath it) — then answers every in-flight entry the commit covers, in
-// window order, and pumps the freed window slots.
+// beneath it) — then applies and answers what the commit covers, in log
+// order, and pumps the freed window slots.
 func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 	acks := make([]uint64, 0, len(n.cfg.StoreNodes))
 	for _, f := range n.cfg.StoreNodes {
@@ -1205,105 +1188,107 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 			n.syncView(sr)
 		}
 	}
-	answered := false
-	for len(sr.inflight) > 0 && sr.inflight[0].seq <= sr.committed {
-		e := sr.inflight[0]
-		sr.inflight[0] = inflightEntry{}
-		sr.inflight = sr.inflight[1:]
-		off := 0
-		for _, r := range e.routes {
-			res := e.results[off : off+len(r.ops)]
-			off += len(r.ops)
-			delete(sr.pendSet, r.reqid)
-			n.sendDone(p, sr.shard, r.from, r.reqid, res)
-		}
-		answered = true
+	was := sr.applied
+	n.applyCommitted(p, sr)
+	if sr.applied == was {
+		return
 	}
-	if answered {
-		if !n.cfg.RetainLog {
-			// Truncate below what every live replica holds (a dead replica
-			// that revives beyond the horizon stays behind until condemned
-			// by the divergence check or caught by an operator).
-			now := n.tr.now(p)
-			trunc := sr.committed
-			for _, f := range n.cfg.StoreNodes {
-				if f == n.cfg.ID {
-					continue
-				}
-				if now-n.lastHeard[f] < n.cfg.OwnerTimeout && sr.acked[f] < trunc {
-					trunc = sr.acked[f]
-				}
+	if !n.cfg.RetainLog {
+		// The log floor passes only what this replica has applied and every
+		// live follower has committed: whichever of them wins the next
+		// election still holds all that any other is missing. (A replica
+		// silent past OwnerTimeout is not waited for and may fall behind
+		// the floor for good.)
+		now := n.tr.now(p)
+		floor := sr.applied
+		for _, f := range n.cfg.StoreNodes {
+			if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.OwnerTimeout {
+				floor = min(floor, sr.ackedCommit[f])
 			}
-			sr.truncate(trunc)
 		}
-		n.pump(p, sr)
+		sr.truncate(floor)
 	}
+	n.pump(p, sr)
 }
 
 // ---------------------------------------------------------------------------
 // Store node: follower side.
 
-// onAppend applies a replicated suffix: in-order entries feed the local
-// store (keeping the replica and its dedup table live), the commit
-// frontier advances, and the follower acks its applied frontier.
+// heardOwner is the follower's first look at an owner frame: a deposed
+// owner's is fenced with the current epoch (false), any other makes its
+// sender the shard's owner.
+func (n *Node) heardOwner(p *sched.Proc, sr *shardRep, from NodeID, epoch uint64) bool {
+	if epoch < sr.epoch {
+		n.sendRep(p, from, wire.OpcodeRepStale, wire.Rep{
+			Shard: uint16(sr.shard), Epoch: sr.epoch, Peer: uint16(sr.owner),
+		})
+		return false
+	}
+	if epoch > sr.epoch || sr.owner != from || sr.isOwner {
+		n.adoptOwner(p, sr, epoch, from)
+	}
+	sr.lastOwnerHeard = n.tr.now(p)
+	return true
+}
+
+// onAppend takes a replicated suffix into the log — never into the store.
+// Entries are checked one by one from the matched prefix up: one already
+// held extends the match, one held under another epoch is a deposed
+// owner's and makes way, with everything above it, for the owner's, and
+// the first past match+1 ends the frame (a chunk was lost; the owner
+// restreams from the ack).
 func (n *Node) onAppend(p *sched.Proc, m *message) {
 	if !n.cfg.Store {
 		return
 	}
 	sr := n.shards[m.rep.Shard]
-	if sr.condemned {
+	if !n.heardOwner(p, sr, NodeID(m.rep.From), m.rep.Epoch) {
 		return
 	}
-	from := NodeID(m.rep.From)
-	if m.rep.Epoch < sr.epoch {
-		n.sendRep(p, from, wire.OpcodeRepStale, wire.Rep{
-			Shard: m.rep.Shard, Epoch: sr.epoch, Peer: uint16(sr.owner),
-		})
-		return
-	}
-	if m.rep.Epoch > sr.epoch || sr.owner != from || sr.isOwner {
-		n.adoptOwner(p, sr, m.rep.Epoch, from)
-		if sr.condemned {
-			return
-		}
-	}
-	sr.lastOwnerHeard = n.tr.now(p)
 	for _, e := range m.rep.Entries {
-		if e.Seq <= sr.frontier {
-			if ex := sr.entryAt(e.Seq); ex != nil && ex.Epoch != e.Epoch {
-				n.condemn(p, sr, "replicated entry conflicts with applied log")
+		if e.Seq > sr.match+1 {
+			break
+		}
+		switch ex := sr.entryAt(e.Seq); {
+		case ex == nil && e.Seq <= sr.base:
+			continue // below the log floor: committed everywhere
+		case ex == nil:
+			sr.appendLocal(e)
+		case ex.Epoch != e.Epoch:
+			if e.Seq <= sr.committed {
+				// A committed entry is in every elected owner's log, so only
+				// an owner that committed without a quorum leads here. Keep it.
+				if !sr.refused {
+					sr.refused = true
+					n.cfg.Logf("cluster: node %d shard %d: refusing to replace committed entry %d (epoch %d) with node %d's of epoch %d",
+						n.cfg.ID, sr.shard, e.Seq, ex.Epoch, m.rep.From, e.Epoch)
+				}
 				return
 			}
-			continue // duplicate
+			// Cap the kept prefix so the append copies: frames in flight may
+			// still share the old array.
+			keep := e.Seq - sr.base - 1
+			sr.entries = sr.entries[:keep:keep]
+			sr.appendLocal(e)
 		}
-		if e.Seq != sr.frontier+1 {
-			break // gap; ack our real frontier and let the owner resend
-		}
-		if len(e.Ops) > 0 && !n.debugSkipApply {
-			if _, err := n.apply(p, sr.shard, e.Ops); err != nil {
-				n.cfg.Logf("cluster: node %d shard %d: follower apply: %v", n.cfg.ID, sr.shard, err)
-				return
-			}
-			n.cEntriesApp.Inc()
-		}
-		sr.appendLocal(e)
+		sr.match = max(sr.match, e.Seq)
 	}
-	if m.rep.Frontier > sr.committed {
-		c := m.rep.Frontier
-		if c > sr.frontier {
-			c = sr.frontier
-		}
-		if c > sr.committed {
-			sr.committed = c
-		}
-	}
+	n.followCommit(p, sr, m.rep.Frontier, m.rep.Seq)
+}
+
+// followCommit is the follower's answer to every owner frame: commit what
+// the owner has, as far as the matched prefix reaches, apply it, cut the
+// log where the owner cut its own (never past what is applied here), and
+// owe the owner an ack. The cumulative ack piggybacks on the next frame
+// toward the owner (flushAcks guarantees one this loop iteration), folding
+// the whole handled burst into one ack instead of one per frame.
+func (n *Node) followCommit(p *sched.Proc, sr *shardRep, commit, floor uint64) {
+	sr.committed = max(sr.committed, min(commit, sr.match))
+	n.applyCommitted(p, sr)
 	if !n.cfg.RetainLog {
-		sr.truncate(sr.committed)
+		sr.truncate(min(floor, sr.applied))
 	}
 	n.syncView(sr)
-	// The cumulative ack piggybacks on the next frame toward the owner
-	// (flushAcks guarantees one this loop iteration), folding the whole
-	// handled burst into one ack instead of one per append frame.
 	sr.ackOwed = true
 }
 
@@ -1316,51 +1301,28 @@ func (n *Node) adoptOwner(p *sched.Proc, sr *shardRep, epoch uint64, w NodeID) {
 		// retry idempotent.
 		sr.dropOwnerState()
 	}
+	if epoch > sr.epoch {
+		sr.match = sr.committed
+	}
 	sr.epoch = epoch
 	sr.owner = w
-	sr.isOwner = w == n.cfg.ID
+	sr.isOwner = false
 	sr.electEpoch = 0
 	sr.lastOwnerHeard = n.tr.now(p)
 	n.owners[sr.shard] = w
 	n.syncView(sr)
 }
 
-// condemn permanently retires this node's replica of one shard: its state
-// machine applied entries that provably diverged from the committed chain
-// and cannot be rolled back. The replica stops serving, acking and voting;
-// the shard's fault tolerance drops by one.
-func (n *Node) condemn(p *sched.Proc, sr *shardRep, why string) {
-	if sr.condemned {
-		return
-	}
-	sr.condemned = true
-	sr.dropOwnerState()
-	sr.isOwner = false
-	sr.ackOwed = false
-	n.cCondemned.Inc()
-	n.cfg.Logf("cluster: node %d shard %d CONDEMNED (epoch %d, frontier %d): %s",
-		n.cfg.ID, sr.shard, sr.epoch, sr.frontier, why)
-	n.syncView(sr)
-	_ = p
-}
-
-// onStale handles the fencing message. Addressed to this node (Peer ==
-// self) it is the owner's divergence verdict: condemn. Otherwise it tells
-// a deposed owner (or stale candidate) the current epoch and owner.
+// onStale handles the fencing message: it tells a deposed owner (or stale
+// candidate) the current epoch and owner.
 func (n *Node) onStale(p *sched.Proc, m *message) {
 	if !n.cfg.Store {
 		return
 	}
 	sr := n.shards[m.rep.Shard]
-	if sr.condemned {
-		return
-	}
-	if NodeID(m.rep.Peer) == n.cfg.ID && m.rep.Epoch >= sr.epoch {
-		n.condemn(p, sr, "owner reported log divergence")
-		return
-	}
-	if m.rep.Epoch > sr.epoch {
-		n.adoptOwner(p, sr, m.rep.Epoch, NodeID(m.rep.Peer))
+	// A peer that granted this node's still-open candidacy names this node.
+	if w := NodeID(m.rep.Peer); int(w) < n.cfg.Nodes && w != n.cfg.ID && m.rep.Epoch > sr.epoch {
+		n.adoptOwner(p, sr, m.rep.Epoch, w)
 	}
 }
 
@@ -1378,8 +1340,7 @@ func (n *Node) onPeerDown(p *sched.Proc, id NodeID) {
 	n.lastHeard[id] = now - n.cfg.OwnerTimeout - 1
 	if n.cfg.Store {
 		for _, sr := range n.shards {
-			if sr.owner == id && !sr.isOwner && !sr.condemned &&
-				sr.lastOwnerHeard > now-n.cfg.OwnerTimeout {
+			if sr.owner == id && !sr.isOwner && sr.lastOwnerHeard > now-n.cfg.OwnerTimeout {
 				sr.lastOwnerHeard = now - n.cfg.OwnerTimeout
 			}
 		}
@@ -1452,16 +1413,14 @@ func (n *Node) startElection(p *sched.Proc, sr *shardRep, now int64, atLeast uin
 
 // onVote grants (once per epoch) if the candidate's log is at least as
 // up to date — the Raft vote rule, compared as (last-entry epoch,
-// frontier). Condemned replicas never vote: their grant could elect a
-// candidate missing committed entries.
+// frontier). A grant is a promise: the voter adopts the candidate's epoch,
+// so the fence in heardOwner refuses every later frame of the owner it
+// voted out and nothing that owner still commits can count this replica.
 func (n *Node) onVote(p *sched.Proc, m *message) {
 	if !n.cfg.Store {
 		return
 	}
 	sr := n.shards[m.rep.Shard]
-	if sr.condemned {
-		return
-	}
 	e := m.rep.Epoch
 	if e <= sr.epoch || e <= sr.votedEpoch {
 		return
@@ -1480,8 +1439,12 @@ func (n *Node) onVote(p *sched.Proc, m *message) {
 		return
 	}
 	sr.votedEpoch = e
-	sr.electEpoch = 0               // granting a higher epoch cancels our own candidacy
-	sr.lastOwnerHeard = n.tr.now(p) // don't start a rival election immediately
+	if n.debugGrantNoPromise {
+		sr.electEpoch, sr.lastOwnerHeard = 0, n.tr.now(p)
+	} else {
+		// Also cancels our own candidacy and restarts the owner timeout.
+		n.adoptOwner(p, sr, e, NodeID(m.rep.From))
+	}
 	n.sendRep(p, NodeID(m.rep.From), wire.OpcodeRepVoteOK, wire.Rep{
 		Shard: m.rep.Shard, Epoch: e, Frontier: sr.frontier, Seq: sr.lastEpoch,
 	})
@@ -1493,7 +1456,7 @@ func (n *Node) onVoteOK(p *sched.Proc, m *message) {
 		return
 	}
 	sr := n.shards[m.rep.Shard]
-	if sr.condemned || sr.electEpoch == 0 || m.rep.Epoch != sr.electEpoch || sr.isOwner {
+	if sr.electEpoch == 0 || m.rep.Epoch != sr.electEpoch || sr.isOwner {
 		return
 	}
 	sr.votes[NodeID(m.rep.From)] = true
@@ -1512,6 +1475,7 @@ func (n *Node) becomeOwner(p *sched.Proc, sr *shardRep) {
 	sr.isOwner = true
 	sr.nextSeq = sr.frontier + 1
 	sr.acked = map[NodeID]uint64{n.cfg.ID: sr.frontier}
+	sr.ackedCommit = map[NodeID]uint64{}
 	sr.dropOwnerState()
 	sr.ackOwed = false
 	sr.lastRetx = n.tr.now(p)
@@ -1529,14 +1493,12 @@ func (n *Node) becomeOwner(p *sched.Proc, sr *shardRep) {
 	}
 	// The barrier: an empty entry in the new epoch. Its commit commits
 	// everything beneath it (checkCommit only counts own-epoch entries).
-	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch}, nil, nil)
+	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch}, nil)
 	n.syncView(sr)
 }
 
-// onOwner records an election result. A store node adopts the winner (or
-// condemns itself if its log is ahead of the winner's — it applied
-// entries the electorate never committed); a front end re-aims its
-// pending routes.
+// onOwner records an election result: a store node adopts the winner, a
+// front end re-aims its pending routes.
 func (n *Node) onOwner(p *sched.Proc, m *message) {
 	s := int(m.rep.Shard)
 	w := NodeID(m.rep.Peer)
@@ -1546,16 +1508,8 @@ func (n *Node) onOwner(p *sched.Proc, m *message) {
 	e := m.rep.Epoch
 	if n.cfg.Store {
 		sr := n.shards[s]
-		if !sr.condemned && w != n.cfg.ID && (e > sr.epoch || (e == sr.epoch && !sr.isOwner && sr.owner != w)) {
-			ahead := sr.frontier > m.rep.Frontier ||
-				(sr.frontier == m.rep.Frontier && sr.frontier > 0 && sr.lastEpoch != m.rep.Seq)
-			if ahead {
-				sr.epoch = e
-				sr.owner = w
-				n.condemn(p, sr, "log ahead of elected owner")
-			} else {
-				n.adoptOwner(p, sr, e, w)
-			}
+		if w != n.cfg.ID && (e > sr.epoch || (e == sr.epoch && !sr.isOwner && sr.owner != w)) {
+			n.adoptOwner(p, sr, e, w)
 		}
 	}
 	if n.cfg.Frontend {

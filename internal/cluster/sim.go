@@ -13,7 +13,7 @@ import (
 // simulated network. Every scenario runs a complete multi-node cluster —
 // submitter clients, a front end router, store nodes with per-shard
 // replica stores, and the full replication protocol (ownership, quorum
-// commit, elections, condemnation) — as procs of one controlled sched.Run,
+// commit, elections, suffix replacement) — as procs of one controlled sched.Run,
 // with the VirtualNet's delay, loss, duplication and partition faults all
 // drawn from the seed. Node event-loop crashes (the owner dying mid-load)
 // are CrashAt schedule decisions like any other proc crash.
@@ -162,6 +162,12 @@ type cscenario struct {
 	// bug under the normal oracle (the detection-rate test fixture).
 	batchCanary    bool
 	rawBatchCanary bool
+	// voteCanary injects the broken-promise bug (voters grant without
+	// adopting the candidate's epoch, so they keep acking the owner they
+	// voted out) on every store node and inverts the oracle like canary;
+	// rawVoteCanary is its detection-rate fixture under the normal oracle.
+	voteCanary    bool
+	rawVoteCanary bool
 	// inflight/window override the virtual-mode pipelining defaults
 	// (Config.MaxInflightEntries / Config.BatchWindow) when non-zero.
 	inflight int
@@ -216,8 +222,7 @@ func clusterScenarios() []sim.Scenario {
 		},
 		{
 			// A seed-chosen store node is cut off for a window mid-run: the
-			// majority side keeps serving, the minority catches up (or is
-			// condemned) on heal.
+			// majority side keeps serving, the minority catches up on heal.
 			name: "cluster:partition", budget: 131072, mode: cFair, plan: partitionPlan,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 5, maxCall: 1},
@@ -271,6 +276,16 @@ func clusterScenarios() []sim.Scenario {
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 2},
 		},
+		{
+			// Must-detect canary for the vote promise: a voter that keeps
+			// acking the owner it voted out lets that owner answer clients
+			// with entries the winner never held; under cuts that elect
+			// rivals of a live owner, the lost answers MUST be flagged.
+			name: "cluster:vote-canary", budget: 131072, mode: cSafety,
+			voteCanary: true, plan: flapPlan,
+			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
+			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
+		},
 	}
 	out := make([]sim.Scenario, 0, len(specs))
 	for _, sc := range specs {
@@ -315,6 +330,24 @@ func batchLossPlan(_ ctopo, _ int64, rng *rand.Rand) NetPlan {
 		DupFrac:  rng.Float64() * 0.05,
 		DelayMax: 1 + rng.Int64N(8),
 	}
+}
+
+// flapPlan cuts one seed-chosen store node after another off for a little
+// longer than OwnerTimeout (640 steps), over a slow network, for the
+// vote-canary fixtures: an owner that comes back from a cut finds a rival
+// elected, and with delays this long its appends reach the rival's voters
+// before the rival's own announcement does — the window in which a voter's
+// promise is all that stops the deposed owner from committing.
+func flapPlan(t ctopo, _ int64, rng *rand.Rand) NetPlan {
+	pl := NetPlan{Seed: rng.Uint64(), DelayMax: 256 + rng.Int64N(512)}
+	// 40 cuts reach past the end of all but the longest runs (mean 16k steps).
+	for at := int64(256); len(pl.Partitions) < 40; {
+		to := at + 640 + rng.Int64N(640)
+		victim := t.stores[rng.IntN(len(t.stores))]
+		pl.Partitions = append(pl.Partitions, Partition{From: at, To: to, GroupA: []NodeID{victim}})
+		at = to + 256 + rng.Int64N(1024)
+	}
+	return pl
 }
 
 // cfairBase mirrors the service package's fair base-policy draw.
@@ -414,6 +447,7 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 		if (sc.batchCanary || sc.rawBatchCanary) && id == t.stores[0] {
 			n.debugAckFullWindow = true
 		}
+		n.debugGrantNoPromise = sc.voteCanary || sc.rawVoteCanary
 		if sc.crashOwner && id == t.stores[0] {
 			victimStores = stores
 		}
@@ -460,7 +494,7 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 		for _, vr := range vrs {
 			viol = append(viol, vr.CheckHistory()...)
 		}
-		if sc.canary || sc.batchCanary {
+		if sc.canary || sc.batchCanary || sc.voteCanary {
 			// Inverted verdict: when the injected bug produced a
 			// client-visible stale read, the checker MUST have flagged the
 			// run. (Seeds where the rigged failover did not manifest pass

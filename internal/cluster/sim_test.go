@@ -40,9 +40,22 @@ func brokenBatchScenario() sim.Scenario {
 	return sc.scenario()
 }
 
+// brokenVoteScenario is the raw fixture for the broken vote promise: the
+// vote-canary topology, workload and fault plan with the standard oracle.
+func brokenVoteScenario() sim.Scenario {
+	sc := cscenario{
+		name: "test/cluster-vote-broken", budget: 131072, mode: cSafety,
+		rawVoteCanary: true, plan: flapPlan,
+		topo: ctopo{subs: 1, nodes: 4, stores: []NodeID{1, 2, 3}, fronts: []NodeID{0}, shards: 1},
+		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
+	}
+	return sc.scenario()
+}
+
 func init() {
 	sim.Register(brokenClusterScenario())
 	sim.Register(brokenBatchScenario())
+	sim.Register(brokenVoteScenario())
 }
 
 func clusterRegistered(t *testing.T) []sim.Scenario {
@@ -151,32 +164,45 @@ func TestClusterCanaryDetectsInjectedBug(t *testing.T) {
 	if sample.Token == "" || len(sample.Violations) == 0 {
 		t.Fatalf("failure sample incomplete: %+v", sample)
 	}
+	t.Logf("stale-read-after-failover bug bit on %d of %d seeds", rep.Failures, rep.Runs)
 }
 
-// TestClusterBatchCanaryDetectsInjectedBug: the raw pipelined-commit bug
-// fixture — an owner answering clients out of window order, before a
-// quorum holds their entries — must fail on a healthy share of seeds
-// under loss plus the owner's crash.
-func TestClusterBatchCanaryDetectsInjectedBug(t *testing.T) {
-	s, ok := sim.Find("test/cluster-batch-broken")
+// mustDetect sweeps one raw injected-bug fixture over 200 seeds and
+// requires the checker to fail a healthy share of them — the bug's
+// preconditions must recur across seeds, not be a fluke — each failure
+// with a usable repro token.
+func mustDetect(t *testing.T, fixture, bug string) {
+	t.Helper()
+	s, ok := sim.Find(fixture)
 	if !ok {
-		t.Fatal("test/cluster-batch-broken not registered")
+		t.Fatalf("%s not registered", fixture)
 	}
 	rep := sim.Sweep([]sim.Scenario{s},
 		sim.Options{Seeds: 200, Workers: 4, MaxFailures: 1 << 20})
-	if rep.Failures == 0 {
-		t.Fatal("checker missed the injected out-of-window-order commit bug on every seed")
-	}
-	// The bug needs lost appends the crash prevents from being
-	// retransmitted; that must be a recurring outcome, not a fluke.
-	if rep.Failures < int64(rep.Runs)/20 {
-		t.Fatalf("bug detected on only %d of %d seeds", rep.Failures, rep.Runs)
+	if rep.Failures < int64(rep.Runs)/20 || rep.Failures == 0 {
+		t.Fatalf("%s detected on only %d of %d seeds", bug, rep.Failures, rep.Runs)
 	}
 	sample := rep.Scenarios[0].FailureSamples[0]
 	if sample.Token == "" || len(sample.Violations) == 0 {
 		t.Fatalf("failure sample incomplete: %+v", sample)
 	}
-	t.Logf("out-of-window-order commit bug bit on %d of %d seeds", rep.Failures, rep.Runs)
+	t.Logf("%s bit on %d of %d seeds", bug, rep.Failures, rep.Runs)
+}
+
+// TestClusterBatchCanaryDetectsInjectedBug: the raw pipelined-commit bug
+// fixture — an owner answering clients out of window order, before a
+// quorum holds their entries — must be caught under loss plus the owner's
+// crash (it needs lost appends the crash prevents from being
+// retransmitted).
+func TestClusterBatchCanaryDetectsInjectedBug(t *testing.T) {
+	mustDetect(t, "test/cluster-batch-broken", "out-of-window-order commit bug")
+}
+
+// TestClusterVoteCanaryDetectsInjectedBug: the raw broken-promise fixture —
+// voters that keep acking the owner they voted out — must be caught under
+// cuts that elect rivals of a live owner.
+func TestClusterVoteCanaryDetectsInjectedBug(t *testing.T) {
+	mustDetect(t, "test/cluster-vote-broken", "broken vote promise")
 }
 
 // TestClusterReplayTokenBitIdentical: replaying a failing cluster token

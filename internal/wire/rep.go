@@ -7,8 +7,9 @@ import "repro/internal/service"
 // four counted sections — and the opcode alone distinguishes message
 // kinds. Fields unused by a kind are zero on the wire; a few are
 // overloaded where a second integer is needed (Seq carries the candidate's
-// last-entry epoch in Vote/VoteOK/Owner frames, Peer carries the subject
-// node in Redirect/Owner frames). internal/cluster documents the per-kind
+// last-entry epoch in Vote/VoteOK/Owner frames and the owner's log floor
+// in Append frames, Peer carries the subject node in Redirect/Owner
+// frames). internal/cluster documents the per-kind
 // field meanings next to its message constructors.
 //
 //	preamble = from(2) peer(2) shard(2) epoch(8) seq(8) frontier(8) reqid(8)
@@ -20,7 +21,7 @@ import "repro/internal/service"
 // The op and result encodings are exactly §3.2's; counts are bounded by
 // MaxBatchOps (ops, results), MaxRepEntries (entries) and MaxRepAcks
 // (acks). The acks section lets any frame piggyback per-shard
-// acknowledgements — a follower folds its cumulative applied-frontier ack
+// acknowledgements — a follower folds its cumulative appended-frontier ack
 // into whatever it sends next, an owner folds its commit-frontier
 // keepalives into heartbeats — so the steady-state protocol needs no
 // dedicated ack frame per append.
@@ -35,11 +36,12 @@ const MaxRepAcks = 64
 
 // Piggybacked-ack kinds (RepAck.Kind, docs/PROTOCOL.md §5.1).
 const (
-	// AckApplied is a follower's cumulative acknowledgement: Frontier is
-	// its applied frontier, Last the epoch of the entry there.
-	AckApplied byte = 0
+	// AckAppended is a follower's cumulative acknowledgement: Frontier is
+	// the prefix of the owner's log it holds (appended, not necessarily
+	// applied), Last its own committed frontier.
+	AckAppended byte = 0
 	// AckCommit is an owner's commit-frontier keepalive: Frontier is the
-	// shard's committed frontier under Epoch (Last unused).
+	// shard's committed frontier under Epoch, Last the owner's log floor.
 	AckCommit byte = 1
 )
 
@@ -82,9 +84,9 @@ func EncodedEntrySize(e RepEntry) int {
 	return n
 }
 
-// RepEntry is one committed log entry as replicated: the owner-assigned
-// entry sequence number, the owner epoch that committed it, and the client
-// ops it carries in commit order.
+// RepEntry is one log entry as replicated: the owner-assigned entry
+// sequence number, the owner epoch that appended it, and the client ops it
+// carries in commit order.
 type RepEntry struct {
 	Seq   uint64
 	Epoch uint64
@@ -92,7 +94,7 @@ type RepEntry struct {
 }
 
 // RepAck is one piggybacked per-shard acknowledgement (docs/PROTOCOL.md
-// §5.1): Kind selects the direction (AckApplied: follower → owner,
+// §5.1): Kind selects the direction (AckAppended: follower → owner,
 // AckCommit: owner → follower).
 type RepAck struct {
 	Kind     byte

@@ -33,7 +33,7 @@ func TestGoldenRepFrame(t *testing.T) {
 		Ops:     []service.Op{{Kind: service.OpPut, Key: "k", Val: "v", ID: 9}},
 		Results: []service.Result{{OK: true, Val: "r"}},
 		Entries: []RepEntry{{Seq: 8, Epoch: 4, Ops: []service.Op{{Kind: service.OpGet, Key: "g"}}}},
-		Acks:    []RepAck{{Kind: AckApplied, Shard: 3, Epoch: 4, Frontier: 8, Last: 4}},
+		Acks:    []RepAck{{Kind: AckAppended, Shard: 3, Epoch: 4, Frontier: 8, Last: 4}},
 	}
 	got, err := AppendRepFrame(nil, OpcodeRepAppend, r)
 	if err != nil {
@@ -137,7 +137,7 @@ func TestRepRoundTrip(t *testing.T) {
 				}},
 			}},
 		{From: 2, Acks: []RepAck{
-			{Kind: AckApplied, Shard: 1, Epoch: 3, Frontier: 1<<64 - 1, Last: 3},
+			{Kind: AckAppended, Shard: 1, Epoch: 3, Frontier: 1<<64 - 1, Last: 3},
 			{Kind: AckCommit, Shard: 65535, Epoch: 1<<64 - 1, Frontier: 7},
 		}},
 	}
@@ -293,7 +293,7 @@ func TestEncodedSizeAccounting(t *testing.T) {
 	// MaxRepData must be the payload budget that guarantees MaxPayload
 	// with a full MaxRepAcks complement piggybacked.
 	r := Rep{From: 1, Shard: 2, ReqID: 3, Ops: ops, Results: results, Entries: entries,
-		Acks: []RepAck{{Kind: AckApplied, Shard: 2, Epoch: 1, Frontier: 9, Last: 1}}}
+		Acks: []RepAck{{Kind: AckAppended, Shard: 2, Epoch: 1, Frontier: 9, Last: 1}}}
 	sum := 0
 	for _, op := range r.Ops {
 		sum += EncodedOpSize(op)
