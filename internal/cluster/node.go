@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,7 +129,21 @@ type shardRep struct {
 	votedEpoch   uint64
 }
 
+// minLogCap is the least capacity appendLocal gives a new entries array:
+// with a window that drains between calls the retained log is a few entries,
+// and doubling that would buy a new array every few appends.
+const minLogCap = 64
+
 func (sr *shardRep) appendLocal(e wire.RepEntry) {
+	if len(sr.entries) == cap(sr.entries) {
+		// truncate advances entries through its array, so a full array is
+		// mostly dropped prefix. The retained entries move to a new one and
+		// no slot is ever written twice: a frame the virtual network still
+		// holds may point into the old array.
+		grown := make([]wire.RepEntry, len(sr.entries), max(2*len(sr.entries), minLogCap))
+		copy(grown, sr.entries)
+		sr.entries = grown
+	}
 	sr.entries = append(sr.entries, e)
 	sr.frontier = e.Seq
 	sr.lastEpoch = e.Epoch
@@ -156,16 +171,18 @@ func (sr *shardRep) entriesFrom(seq uint64, max int) []wire.RepEntry {
 	return sr.entries[i:j]
 }
 
-// truncate drops retained entries with seq ≤ below.
+// truncate drops retained entries with seq ≤ below, in place: the dropped
+// prefix is cleared, so the ops it held are collectable while the array
+// lives on, and entries advances past it (appendLocal moves to a new array
+// when this one is used up). To a frame that still points at a cleared slot
+// the entry reads as seq 0, below every log floor, and onAppend skips it.
 func (sr *shardRep) truncate(below uint64) {
 	if below <= sr.base {
 		return
 	}
-	cut := below - sr.base
-	if cut > uint64(len(sr.entries)) {
-		cut = uint64(len(sr.entries))
-	}
-	sr.entries = append([]wire.RepEntry(nil), sr.entries[cut:]...)
+	cut := min(below-sr.base, uint64(len(sr.entries)))
+	clear(sr.entries[:cut])
+	sr.entries = sr.entries[cut:]
 	sr.base += cut
 }
 
@@ -243,6 +260,10 @@ type Node struct {
 	nextOpSeq  uint64
 	stopping   bool
 	dueScratch []uint64 // tick's reused timed-out-route id buffer
+	ackScratch []uint64 // checkCommit's reused per-store-node ack buffer
+	// isStore marks the store nodes, indexed by NodeID (sendHeartbeats folds
+	// commit keepalives into the beats toward them only).
+	isStore []bool
 
 	// Metrics (atomic counters; safe to scrape off-loop).
 	reg            *metrics.Registry
@@ -343,6 +364,10 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 	n.shards = make([]*shardRep, cfg.Shards)
 	n.view = make([]ShardStatus, cfg.Shards)
 	n.lastHeard = make([]int64, cfg.Nodes)
+	n.isStore = make([]bool, cfg.Nodes)
+	for _, f := range cfg.StoreNodes {
+		n.isStore[f] = true
+	}
 	for s := 0; s < cfg.Shards; s++ {
 		owner := cfg.pref(s)[0]
 		n.owners[s] = owner
@@ -724,16 +749,12 @@ func (n *Node) sendHeartbeats(p *sched.Proc) {
 			}
 		}
 	}
-	isStore := make(map[NodeID]bool, len(n.cfg.StoreNodes))
-	for _, f := range n.cfg.StoreNodes {
-		isStore[f] = true
-	}
 	for i := 0; i < n.cfg.Nodes; i++ {
 		to := NodeID(i)
 		if to == n.cfg.ID {
 			continue
 		}
-		if len(commits) > 0 && isStore[to] {
+		if len(commits) > 0 && n.isStore[i] {
 			for off := 0; off < len(commits); off += wire.MaxRepAcks {
 				end := min(off+wire.MaxRepAcks, len(commits))
 				n.sendRep(p, to, wire.OpcodeRepHeartbeat, wire.Rep{Acks: commits[off:end]})
@@ -1176,12 +1197,15 @@ func (n *Node) sendDone(p *sched.Proc, shard int, to NodeID, reqid uint64, resul
 // beneath it) — then applies and answers what the commit covers, in log
 // order, and pumps the freed window slots.
 func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
-	acks := make([]uint64, 0, len(n.cfg.StoreNodes))
+	// Runs on every ack: the node's scratch and slices.Sort (in place, an
+	// insertion sort at this size) allocate nothing.
+	acks := n.ackScratch[:0]
 	for _, f := range n.cfg.StoreNodes {
 		acks = append(acks, sr.acked[f])
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	c := acks[n.quorum-1]
+	n.ackScratch = acks
+	slices.Sort(acks)
+	c := acks[len(acks)-n.quorum] // the quorum-th highest
 	if c > sr.committed {
 		if ex := sr.entryAt(c); ex != nil && ex.Epoch == sr.epoch {
 			sr.committed = c

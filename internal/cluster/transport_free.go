@@ -459,8 +459,12 @@ func (p *freePeer) close() {
 // (self-sends and client injections must be reliable) until closeAndDrain
 // seals it at shutdown, pops support the event loop's deadline.
 type inbox struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// q[head:] is the queue. Pops advance head and the array is reused from
+	// its start each time the queue drains, so a steady push/pop stream
+	// stops allocating once the array fits a burst.
 	q      []*message
+	head   int
 	closed bool
 	notify chan struct{} // cap 1
 }
@@ -470,6 +474,13 @@ func (in *inbox) push(m *message) bool {
 	if in.closed {
 		in.mu.Unlock()
 		return false
+	}
+	if len(in.q) == cap(in.q) && in.head >= len(in.q)/2 {
+		// A queue that never quite drains must not grow with the messages
+		// that passed through it: slide the backlog over the popped half.
+		n := copy(in.q, in.q[in.head:])
+		clear(in.q[n:])
+		in.q, in.head = in.q[:n], 0
 	}
 	in.q = append(in.q, m)
 	in.mu.Unlock()
@@ -487,19 +498,22 @@ func (in *inbox) closeAndDrain() []*message {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.closed = true
-	q := in.q
-	in.q = nil
+	q := in.q[in.head:]
+	in.q, in.head = nil, 0
 	return q
 }
 
 func (in *inbox) tryPop() *message {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if len(in.q) == 0 {
+	if in.head == len(in.q) {
 		return nil
 	}
-	m := in.q[0]
-	in.q[0] = nil
-	in.q = in.q[1:]
+	m := in.q[in.head]
+	in.q[in.head] = nil
+	in.head++
+	if in.head == len(in.q) {
+		in.q, in.head = in.q[:0], 0
+	}
 	return m
 }

@@ -155,3 +155,38 @@ func BenchmarkServiceSweep(b *testing.B) {
 		})
 	}
 }
+
+// TestDoBatchAllocBudget pins what a client call allocates on the free
+// runtime: one submission per call, not a request and a channel per op.
+// testing.AllocsPerRun counts the whole process, so each figure includes the
+// workers' share — per grant window a batch, its request list and a log cell
+// — and it runs on one P, so the submitter enqueues a whole call before a
+// worker drains it and the windows are full ones. The single-op constants
+// are the counts measured at the commit before submissions (10 and 8): a
+// 1-op DoBatch is what every cluster replica applies per committed entry,
+// and Do is the wire path, neither of which this may make dearer.
+func TestDoBatchAllocBudget(t *testing.T) {
+	s := New(Config{Shards: 1, Audit: AuditConfig{Disabled: true}})
+	defer s.Close()
+	ctx := context.Background()
+	ops := make([]Op, 256)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: fmt.Sprintf("k%03d", i), Val: "v"}
+	}
+	for _, tc := range []struct {
+		name   string
+		call   func()
+		budget float64
+	}{
+		{"256-op DoBatch", func() { s.DoBatch(ctx, ops) }, 0.25 * 256},
+		{"1-op DoBatch", func() { s.DoBatch(ctx, ops[:1]) }, 10},
+		{"Do", func() { s.Do(ctx, ops[0]) }, 8},
+	} {
+		tc.call() // materialise the keys: a first put grows the map
+		if got := testing.AllocsPerRun(200, tc.call); got > tc.budget {
+			t.Errorf("%s allocates %.1f objects per call, budget %.0f", tc.name, got, tc.budget)
+		} else {
+			t.Logf("%s: %.1f objects per call (budget %.0f)", tc.name, got, tc.budget)
+		}
+	}
+}

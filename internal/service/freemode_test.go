@@ -138,7 +138,12 @@ func TestFreeModeCloseRace(t *testing.T) {
 // still be answered exactly once — a crash costs latency, never an answer —
 // and the restart accounting must show the recoveries actually happened.
 // Crash budgets are sized so that even if every injected crash lands on one
-// slot, the breaker never trips (6 crashes < MaxRestarts 8).
+// slot, the breaker never trips (6 crashes < MaxRestarts 8). The batches are
+// wider than a grant window and span both shards, so one submission's
+// requests sit in several workers' batches when a crash lands, and the
+// successor that finishes an inherited batch answers part of a submission
+// whose other parts other workers answer: the caller must wake once, after
+// all of them, with every result written.
 func TestFreeModeCrashRecoveryHammer(t *testing.T) {
 	fs := fault.NewSet()
 	fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Crash, After: 3, Count: 3})
@@ -159,15 +164,21 @@ func TestFreeModeCrashRecoveryHammer(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				key := fmt.Sprintf("k%d", rng.IntN(8))
 				if rng.IntN(3) == 0 {
-					ops := []Op{
-						{Kind: OpPut, Key: key, Val: fmt.Sprintf("c%d-%d", c, i)},
-						{Kind: OpGet, Key: key},
+					ops := make([]Op, 6)
+					for j := range ops {
+						ops[j] = Op{Kind: OpPut, Key: fmt.Sprintf("k%d", rng.IntN(8)), Val: fmt.Sprintf("c%d-%d", c, i)}
 					}
-					if _, err := s.DoBatch(ctx, ops); err != nil {
+					res, err := s.DoBatch(ctx, ops)
+					if err != nil {
 						t.Errorf("batch: %v", err)
 						return
 					}
-					submitted.Add(2)
+					for j, r := range res {
+						if !r.OK || r.Val != ops[j].Val {
+							t.Errorf("batch result %d = %+v, want the put's own value %q", j, r, ops[j].Val)
+						}
+					}
+					submitted.Add(int64(len(ops)))
 				} else {
 					if _, err := s.Do(ctx, Op{Kind: OpPut, Key: key, Val: "v"}); err != nil {
 						t.Errorf("do: %v", err)
@@ -229,14 +240,25 @@ func TestFreeModeCrashCloseRace(t *testing.T) {
 			go func(c int) {
 				defer wg.Done()
 				for i := 0; i < 80; i++ {
-					_, err := s.Do(ctx, Op{Kind: OpPut, Key: fmt.Sprintf("k%d", i%8), Val: "v"})
+					// Odd clients submit 3-op batches: the submit bracket holds
+					// Close out for the whole batch, so a batch is enqueued
+					// entirely or refused entirely and the ack count stays exact.
+					ops := []Op{{Kind: OpPut, Key: fmt.Sprintf("k%d", i%8), Val: "v"}}
+					var err error
+					if c%2 == 1 {
+						ops = append(ops, Op{Kind: OpGet, Key: fmt.Sprintf("k%d", (i+1)%8)},
+							Op{Kind: OpPut, Key: fmt.Sprintf("k%d", (i+2)%8), Val: "w"})
+						_, err = s.DoBatch(ctx, ops)
+					} else {
+						_, err = s.Do(ctx, ops[0])
+					}
 					switch err {
 					case nil:
-						served.Add(1)
+						served.Add(int64(len(ops)))
 					case ErrClosed:
 						return
 					default:
-						t.Errorf("do: %v", err)
+						t.Errorf("submit: %v", err)
 						return
 					}
 				}
@@ -360,4 +382,156 @@ func TestFreeModeBatchAndStatsUnderLoad(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestFreeModePartialBatch: a batch whose tail is refused mid-submission —
+// the shard queue is full behind a stalled worker and the caller's context
+// is cancelled — returns ErrSaturated, and exactly the enqueued prefix
+// commits. The caller leaves while the prefix is still unanswered, so the
+// workers' completions count the submission down with nobody waiting: the
+// released tail and the prefix must add up to one close of its channel (a
+// second would panic the worker, and unsupervised that fails the run), and
+// the in-flight gauge must return to zero.
+func TestFreeModePartialBatch(t *testing.T) {
+	const depth, n = 4, 64
+	fs := fault.NewSet()
+	fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Delay, Delay: int64(50 * time.Millisecond)})
+	s := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: depth, MaxBatch: 4,
+		Audit: AuditConfig{WindowOps: 8}, Faults: fs})
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: fmt.Sprintf("k%02d", i), Val: "v", ID: uint64(i + 1)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		// The worker sleeps in its first commit (or has yet to start); once
+		// the queue is full the submitter is blocked on the next send.
+		for s.Stats().QueueDepth[0] < depth {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+	}()
+	if _, err := s.DoBatch(ctx, ops); err != ErrSaturated {
+		t.Fatalf("DoBatch = %v, want ErrSaturated", err)
+	}
+	// The gets queue behind the prefix, so their answers see it committed.
+	gets := make([]Op, n)
+	for i := range gets {
+		gets[i] = Op{Kind: OpGet, Key: ops[i].Key}
+	}
+	res, err := s.DoBatch(context.Background(), gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for sent < n && res[sent].OK {
+		sent++
+	}
+	for i := sent; i < n; i++ {
+		if res[i].OK {
+			t.Fatalf("op %d committed but op %d did not: not a prefix", i, sent)
+		}
+	}
+	if sent < depth || sent == n {
+		t.Fatalf("%d of %d ops committed, want a full queue's worth or more, and not all", sent, n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.TotalOps != int64(sent+n) {
+		t.Errorf("stats count %d commits, want %d puts + %d gets", st.TotalOps, sent, n)
+	}
+	if v := s.mets.inflight.Value(); v != 0 {
+		t.Errorf("in-flight gauge reads %d after the drain", v)
+	}
+	if st.Audit.Violations != 0 {
+		t.Fatalf("audit violations: %v", st.Audit.ViolationSamples)
+	}
+}
+
+// TestFreeModeBatchDeadlineReplay: a batch that is fully enqueued but whose
+// caller gives up waiting (ErrDeadline) still commits, and a retry with the
+// same op IDs is answered from the dedup table with the results of that
+// first apply. The cas tells the two apart: applied a second time it would
+// find its own new value and fail.
+func TestFreeModeBatchDeadlineReplay(t *testing.T) {
+	fs := fault.NewSet()
+	fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Delay, Delay: int64(30 * time.Millisecond)})
+	s := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, MaxBatch: 4,
+		Audit: AuditConfig{WindowOps: 8}, Faults: fs})
+	ops := []Op{
+		{Kind: OpPut, Key: "k", Val: "v1", ID: 1},
+		{Kind: OpCAS, Key: "k", Old: "v1", Val: "v2", ID: 2},
+		{Kind: OpGet, Key: "k", ID: 3},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	_, err := s.DoBatch(ctx, ops)
+	cancel()
+	if err != ErrDeadline {
+		t.Fatalf("DoBatch under a stalled worker = %v, want ErrDeadline", err)
+	}
+	res, err := s.DoBatch(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{{Val: "v1", OK: true}, {Val: "v2", OK: true}, {Val: "v2", OK: true}}
+	for i := range want {
+		if res[i] != want[i] {
+			t.Errorf("retried op %d = %+v, want the first apply's %+v", i, res[i], want[i])
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := s.mets.dedupHits.Value(); hits != int64(len(ops)) {
+		t.Errorf("%d dedup hits, want %d: the retry re-applied", hits, len(ops))
+	}
+	if st := s.Stats(); st.Audit.Violations != 0 {
+		t.Fatalf("audit violations: %v", st.Audit.ViolationSamples)
+	}
+}
+
+// TestFreeModeSubmissionCountdown races everything that may take a request
+// off a submission's countdown: the caller releasing the tail it never
+// enqueued, and several workers answering the same prefix (a crashed
+// incarnation's batch is answered again by its successor). Each request
+// must count once whoever wins, so the channel closes exactly once — a
+// second close panics — and only after the last distinct answer.
+func TestFreeModeSubmissionCountdown(t *testing.T) {
+	rt := newFreeRuntime()
+	for round := 0; round < 200; round++ {
+		const n, sent = 8, 5
+		sub := newSubmission(n)
+		awaited := make(chan error, 1)
+		go func() { awaited <- rt.await(nil, context.Background(), sub, sent) }()
+		var wins atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < sent-1; i++ {
+					if rt.complete(&sub.reqs[i]) {
+						wins.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		select {
+		case <-awaited:
+			t.Fatal("await returned with a request of the prefix unanswered")
+		case <-time.After(100 * time.Microsecond):
+		}
+		if !rt.complete(&sub.reqs[sent-1]) || rt.complete(&sub.reqs[sent-1]) {
+			t.Fatal("the last answer must win once and lose once")
+		}
+		if err := <-awaited; err != nil {
+			t.Fatal(err)
+		}
+		if wins.Load() != sent-1 || sub.pending.Load() != 0 {
+			t.Fatalf("%d wins over %d requests, %d still pending", wins.Load(), sent-1, sub.pending.Load())
+		}
+	}
 }

@@ -35,9 +35,6 @@ type Runtime interface {
 	// the run's granted-step count in virtual mode. p is the calling proc
 	// (nil on the free-mode client path, which has no proc).
 	now(p *sched.Proc) int64
-	// newRequest mints one in-flight request for op, timestamped with the
-	// runtime clock and carrying the runtime's completion primitive.
-	newRequest(p *sched.Proc, op Op) *request
 	// newQueue creates one shard's bounded request queue. capacity is the
 	// physical (boot) bound; depth returns the live effective admission
 	// bound in [1, capacity] (config reload can shrink it at runtime).
@@ -74,17 +71,20 @@ type Runtime interface {
 	// have been joined, so no further respawn races the close.
 	closeSeats()
 	joinSeats(waiter *sched.Proc)
-	// complete marks r answered and wakes its waiter. It is idempotent —
-	// a request answered by a crashed worker's batch may be re-answered by
-	// the recovering incarnation — and reports whether this call won.
+	// complete marks r answered and, when it was the last unanswered request
+	// of its submission, wakes the waiter. It is idempotent — a request
+	// answered by a crashed worker's batch may be re-answered by the
+	// recovering incarnation — and reports whether this call won.
 	complete(r *request) bool
-	// await blocks until r is answered or ctx is done (free runtime only;
-	// the virtual runtime models deadlines with awaitUntil), returning
-	// ErrDeadline when the wait was abandoned. awaitUntil is the
-	// deadline-bounded wait on the runtime clock (absolute deadline in
-	// now()'s units).
-	await(p *sched.Proc, ctx context.Context, r *request) error
-	awaitUntil(p *sched.Proc, r *request, deadline int64) error
+	// await blocks until the first sent requests of sub — the enqueued
+	// prefix; the rest were rejected mid-submission and are owed nothing —
+	// are answered, or ctx is done (free runtime only; the virtual runtime
+	// models deadlines with awaitUntil), returning ErrDeadline when the wait
+	// was abandoned. awaitUntil is the deadline-bounded wait of a fully
+	// enqueued submission on the runtime clock (absolute deadline in now()'s
+	// units).
+	await(p *sched.Proc, ctx context.Context, sub *submission, sent int) error
+	awaitUntil(p *sched.Proc, sub *submission, deadline int64) error
 	// sleep pauses p for d runtime clock units (supervisor backoff,
 	// injected delays).
 	sleep(p *sched.Proc, d int64)
@@ -154,9 +154,10 @@ type notifier interface {
 }
 
 // freeRuntime is the production substrate: real goroutines and channels,
-// wall-clock time. Its Do/DoBatch path performs exactly the allocations of
-// the original free-mode store (one request and one done channel per op)
-// and takes no locks beyond the submit/close RWMutex.
+// wall-clock time. A client call costs one submission (see shard.go) however
+// many ops it carries — the request slab, the countdown and one done channel
+// — and one wakeup when the last of them is answered; the path takes no
+// locks beyond the submit/close RWMutex.
 type freeRuntime struct {
 	// mu guards closed. Submitters hold the read side across the enqueue so
 	// that markClosed cannot let the shard queues close while a send is in
@@ -175,10 +176,6 @@ type freeRuntime struct {
 func newFreeRuntime() *freeRuntime { return &freeRuntime{} }
 
 func (rt *freeRuntime) now(*sched.Proc) int64 { return time.Now().UnixNano() }
-
-func (rt *freeRuntime) newRequest(_ *sched.Proc, op Op) *request {
-	return &request{op: op, start: time.Now().UnixNano(), done: make(chan struct{})}
-}
 
 func (rt *freeRuntime) newQueue(capacity int, depth func() int) queue {
 	return &freeQueue{ch: make(chan *request, capacity), depth: depth}
@@ -246,32 +243,38 @@ func (rt *freeRuntime) joinSeats(*sched.Proc) { rt.seatWG.Wait() }
 
 func (rt *freeRuntime) complete(r *request) bool {
 	if r.completed.CompareAndSwap(false, true) {
-		close(r.done)
+		r.sub.release(1)
 		return true
 	}
 	return false
 }
 
-func (rt *freeRuntime) await(_ *sched.Proc, ctx context.Context, r *request) error {
+func (rt *freeRuntime) await(_ *sched.Proc, ctx context.Context, sub *submission, sent int) error {
+	if sent == 0 {
+		return nil
+	}
+	if unsent := len(sub.reqs) - sent; unsent > 0 {
+		sub.release(unsent)
+	}
 	if ctx.Done() == nil {
 		// Fast path: an undeadlined context cannot abandon the wait, so the
 		// bare channel receive of the original serving tier suffices.
-		<-r.done
+		<-sub.done
 		return nil
 	}
 	select {
-	case <-r.done:
+	case <-sub.done:
 		return nil
 	case <-ctx.Done():
 		return ErrDeadline
 	}
 }
 
-func (rt *freeRuntime) awaitUntil(_ *sched.Proc, r *request, deadline int64) error {
+func (rt *freeRuntime) awaitUntil(_ *sched.Proc, sub *submission, deadline int64) error {
 	d := time.Until(time.Unix(0, deadline))
 	if d <= 0 {
 		select {
-		case <-r.done:
+		case <-sub.done:
 			return nil
 		default:
 			return ErrDeadline
@@ -280,7 +283,7 @@ func (rt *freeRuntime) awaitUntil(_ *sched.Proc, r *request, deadline int64) err
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-r.done:
+	case <-sub.done:
 		return nil
 	case <-t.C:
 		return ErrDeadline

@@ -401,7 +401,9 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Re
 	if err := s.fireSend(p); err != nil {
 		return Result{}, err
 	}
-	r := s.rt.newRequest(p, op)
+	sub := newSubmission(1)
+	r := &sub.reqs[0]
+	r.op, r.start = op, s.rt.now(p)
 	sh := s.shardOf(op.Key)
 	if err := s.rt.beginSubmit(); err != nil {
 		return Result{}, err
@@ -414,9 +416,9 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Re
 	}
 	s.mets.inflight.AddAt(sh.id, 1)
 	if timeout >= 0 {
-		err = s.rt.awaitUntil(p, r, s.rt.now(p)+timeout)
+		err = s.rt.awaitUntil(p, sub, s.rt.now(p)+timeout)
 	} else {
-		err = s.rt.await(p, ctx, r)
+		err = s.rt.await(p, ctx, sub, 1)
 	}
 	if err != nil {
 		return Result{}, err
@@ -467,38 +469,34 @@ func (s *Store) doBatch(p *sched.Proc, ctx context.Context, ops []Op) ([]Result,
 			return nil, fmt.Errorf("service: invalid op kind %d", op.Kind)
 		}
 	}
-	reqs := make([]*request, 0, len(ops))
 	if err := s.rt.beginSubmit(); err != nil {
 		return nil, err
 	}
+	sub := newSubmission(len(ops))
+	sent := 0
 	var submitErr error
-	for _, op := range ops {
-		r := s.rt.newRequest(p, op)
+	for i, op := range ops {
+		r := &sub.reqs[i]
+		r.op, r.start = op, s.rt.now(p)
 		r.call = s.clock.Add(1)
 		sh := s.shardOf(op.Key)
-		if err := sh.q.send(p, ctx, r); err != nil {
-			submitErr = err
+		if submitErr = sh.q.send(p, ctx, r); submitErr != nil {
 			break
 		}
 		s.mets.inflight.AddAt(sh.id, 1)
-		reqs = append(reqs, r)
+		sent++
 	}
 	s.rt.endSubmit()
-	var awaitErr error
-	for _, r := range reqs {
-		if err := s.rt.await(p, ctx, r); err != nil && awaitErr == nil {
-			awaitErr = err
-		}
-	}
+	awaitErr := s.rt.await(p, ctx, sub, sent)
 	if submitErr != nil {
 		return nil, submitErr
 	}
 	if awaitErr != nil {
 		return nil, awaitErr
 	}
-	out := make([]Result, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.res
+	out := make([]Result, sent)
+	for i := range out {
+		out[i] = sub.reqs[i].res
 	}
 	return out, nil
 }

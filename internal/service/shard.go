@@ -10,20 +10,64 @@ import (
 	"repro/internal/universal"
 )
 
-// request is one in-flight client command.
+// request is one in-flight client command. It lives in its submission's
+// slab, never on its own.
 type request struct {
 	op    Op
 	call  int64 // logical clock at submission (audit interval start)
 	start int64 // runtime clock at submission (latency)
 	res   Result
 	ver   uint64 // per-key state-machine version of this op
-	// done is the free runtime's completion signal; completed makes closing
-	// it idempotent (a batch interrupted mid-answer by a crash is finished
-	// again by the recovering incarnation). answered is the virtual
-	// runtime's signal (written under the step token).
-	done      chan struct{}
+	// sub is the submission this request counts toward; completed makes
+	// answering idempotent on the free runtime (a batch interrupted
+	// mid-answer by a crash is finished again by the recovering incarnation,
+	// and must decrement sub once). answered is the virtual runtime's signal
+	// (written under the step token).
+	sub       *submission
 	completed atomic.Bool
 	answered  bool
+}
+
+// submission is one client call — a Do or a whole DoBatch: the slab of its
+// requests, index-aligned with the call's ops, and the single completion
+// they share. pending counts the requests not yet answered (or never
+// enqueued and released); whoever takes it to zero closes done, so the
+// caller waits once however many ops it submitted. The virtual runtime uses
+// neither: it parks on each request's answered flag in turn.
+//
+// The slab outlives a caller that gave up (ErrDeadline): queues, batches and
+// log cells still point into it and the owning workers still answer it. It
+// becomes garbage when the log truncates past those batches (see
+// docs/ARCHITECTURE.md, "One completion per call").
+type submission struct {
+	reqs    []request
+	pending atomic.Int64
+	done    chan struct{}
+	// one backs reqs for a single-op submission, so Do allocates the
+	// submission and its channel and nothing else.
+	one [1]request
+}
+
+func newSubmission(n int) *submission {
+	sub := &submission{done: make(chan struct{})}
+	if n == 1 {
+		sub.reqs = sub.one[:]
+	} else {
+		sub.reqs = make([]request, n)
+	}
+	for i := range sub.reqs {
+		sub.reqs[i].sub = sub
+	}
+	sub.pending.Store(int64(n))
+	return sub
+}
+
+// release takes n requests off the countdown: one answered by a worker, or
+// the tail a rejected submission never enqueued.
+func (sub *submission) release(n int) {
+	if sub.pending.Add(-int64(n)) == 0 {
+		close(sub.done)
+	}
 }
 
 // entry is one key's slot in the shard state machine: its value, whether a
@@ -104,7 +148,13 @@ func newShard(s *Store, id int) *shard {
 	}
 	// Every log position is a write-once consensus cell (consensus number
 	// +inf), the wait-free base object the universal construction assumes.
+	// A cell's name is read only by a controlled run's trace, so the free
+	// runtime shares one per shard instead of formatting one per commit.
+	shared := fmt.Sprintf("shard%d/cell", id)
 	sh.log = universal.NewLog[*batch](func(i int) universal.Proposer[*batch] {
+		if s.rec == nil {
+			return memory.NewOnce[*batch](shared)
+		}
 		return memory.NewOnce[*batch](fmt.Sprintf("shard%d/cell%d", id, i))
 	})
 	for wi := 0; wi < s.cfg.WorkersPerShard; wi++ {
@@ -403,8 +453,10 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 		ret = st.clock.Add(1)
 	}
 	for _, r := range b.reqs {
-		if id := r.op.ID; id != 0 {
-			if c, hit := m.dedup[id]; hit {
+		id, hit := r.op.ID, false
+		if id != 0 {
+			var c dedupEntry
+			if c, hit = m.dedup[id]; hit {
 				if own {
 					st.mets.dedupHits.IncAt(sl.gid)
 				}
@@ -451,16 +503,14 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 			r.res = res
 			r.ver = e.ver
 		}
-		if id := r.op.ID; id != 0 {
-			if _, hit := m.dedup[id]; !hit {
-				m.dedup[id] = dedupEntry{res: res, ver: e.ver}
-				m.order = append(m.order, id)
-				if len(m.order) > st.cfg.MaxDedup {
-					delete(m.dedup, m.order[0])
-					m.order = m.order[1:]
-					if cap(m.order) > 4*st.cfg.MaxDedup {
-						m.order = append([]uint64(nil), m.order...)
-					}
+		if id != 0 && !hit {
+			m.dedup[id] = dedupEntry{res: res, ver: e.ver}
+			m.order = append(m.order, id)
+			if len(m.order) > st.cfg.MaxDedup {
+				delete(m.dedup, m.order[0])
+				m.order = m.order[1:]
+				if cap(m.order) > 4*st.cfg.MaxDedup {
+					m.order = append([]uint64(nil), m.order...)
 				}
 			}
 		}

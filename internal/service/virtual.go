@@ -87,10 +87,6 @@ func (vr *VirtualRuntime) CommittedOps() int { return len(vr.rec.records) }
 
 func (vr *VirtualRuntime) now(p *sched.Proc) int64 { return p.Now() }
 
-func (vr *VirtualRuntime) newRequest(p *sched.Proc, op Op) *request {
-	return &request{op: op, start: p.Now()}
-}
-
 func (vr *VirtualRuntime) newQueue(capacity int, depth func() int) queue {
 	return &virtualQueue{vr: vr, capacity: capacity, depth: depth}
 }
@@ -192,22 +188,30 @@ func (vr *VirtualRuntime) complete(r *request) bool {
 	return true
 }
 
-// await parks until the request is answered. ctx is ignored: virtual runs
-// model client abandonment with DoTimeoutOn deadlines (awaitUntil), crash
-// plans and omission plans, not context cancellation.
-func (vr *VirtualRuntime) await(p *sched.Proc, _ context.Context, r *request) error {
-	p.Park(func() bool { return r.answered })
+// await parks on each enqueued request in turn until it is answered — one
+// park per request, in submission order, which is what every recorded
+// schedule and step count was taken with. ctx is ignored: virtual runs model
+// client abandonment with DoTimeoutOn deadlines (awaitUntil), crash plans
+// and omission plans, not context cancellation.
+func (vr *VirtualRuntime) await(p *sched.Proc, _ context.Context, sub *submission, sent int) error {
+	for i := range sub.reqs[:sent] {
+		r := &sub.reqs[i]
+		p.Park(func() bool { return r.answered })
+	}
 	return nil
 }
 
-// awaitUntil parks until the request is answered or the run's logical
-// clock reaches deadline. An answer observed at the deadline still wins.
-func (vr *VirtualRuntime) awaitUntil(p *sched.Proc, r *request, deadline int64) error {
-	p.Park(func() bool { return r.answered || p.Now() >= deadline })
-	if r.answered {
-		return nil
+// awaitUntil is await bounded by the run's logical clock reaching deadline.
+// An answer observed at the deadline still wins.
+func (vr *VirtualRuntime) awaitUntil(p *sched.Proc, sub *submission, deadline int64) error {
+	for i := range sub.reqs {
+		r := &sub.reqs[i]
+		p.Park(func() bool { return r.answered || p.Now() >= deadline })
+		if !r.answered {
+			return ErrDeadline
+		}
 	}
-	return ErrDeadline
+	return nil
 }
 
 func (vr *VirtualRuntime) sleep(p *sched.Proc, d int64) {

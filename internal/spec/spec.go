@@ -60,13 +60,17 @@ func Check(model Model, history []Op) bool {
 	ops := append([]Op(nil), history...)
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Call < ops[j].Call })
 
-	memo := make(map[string]bool)
+	type memoKey struct {
+		done  uint64
+		state string
+	}
+	memo := make(map[memoKey]bool)
 	var search func(done uint64, state any) bool
 	search = func(done uint64, state any) bool {
 		if done == (uint64(1)<<uint(n))-1 {
 			return true
 		}
-		key := fmt.Sprintf("%d|%s", done, model.Key(state))
+		key := memoKey{done, model.Key(state)}
 		if v, ok := memo[key]; ok {
 			return v
 		}

@@ -17,7 +17,7 @@ func TestSequentialRegisterHistory(t *testing.T) {
 		{Proc: 1, Call: 5, Ret: 6, Method: "write", In: 7},
 		{Proc: 1, Call: 7, Ret: 8, Method: "read", Out: 7},
 	}
-	if !Check(RegisterModel{Initial: 0}, h) {
+	if !agree(t, RegisterModel{Initial: 0}, h) {
 		t.Error("legal sequential history rejected")
 	}
 }
@@ -27,7 +27,7 @@ func TestStaleReadRejected(t *testing.T) {
 		{Proc: 0, Call: 1, Ret: 2, Method: "write", In: 5},
 		{Proc: 1, Call: 3, Ret: 4, Method: "read", Out: 0}, // stale: 5 already written
 	}
-	if Check(RegisterModel{Initial: 0}, h) {
+	if agree(t, RegisterModel{Initial: 0}, h) {
 		t.Error("stale read accepted")
 	}
 }
@@ -39,7 +39,7 @@ func TestConcurrentReadMayReturnEitherValue(t *testing.T) {
 			{Proc: 0, Call: 1, Ret: 10, Method: "write", In: 5},
 			{Proc: 1, Call: 2, Ret: 9, Method: "read", Out: out},
 		}
-		if !Check(RegisterModel{Initial: 0}, h) {
+		if !agree(t, RegisterModel{Initial: 0}, h) {
 			t.Errorf("concurrent read of %d rejected", out)
 		}
 	}
@@ -53,7 +53,7 @@ func TestQueueModelFIFO(t *testing.T) {
 		{Proc: 1, Call: 7, Ret: 8, Method: "deq", Out: 2},
 		{Proc: 1, Call: 9, Ret: 10, Method: "deq", Out: nil},
 	}
-	if !Check(QueueModel{}, h) {
+	if !agree(t, QueueModel{}, h) {
 		t.Error("legal FIFO history rejected")
 	}
 	bad := []Op{
@@ -61,7 +61,7 @@ func TestQueueModelFIFO(t *testing.T) {
 		{Proc: 0, Call: 3, Ret: 4, Method: "enq", In: 2},
 		{Proc: 1, Call: 5, Ret: 6, Method: "deq", Out: 2}, // LIFO
 	}
-	if Check(QueueModel{}, bad) {
+	if agree(t, QueueModel{}, bad) {
 		t.Error("LIFO history accepted by queue model")
 	}
 }
@@ -71,26 +71,26 @@ func TestConsensusModel(t *testing.T) {
 		{Proc: 0, Call: 1, Ret: 4, Method: "propose", In: 7, Out: 7},
 		{Proc: 1, Call: 2, Ret: 5, Method: "propose", In: 9, Out: 7},
 	}
-	if !Check(ConsensusModel{}, good) {
+	if !agree(t, ConsensusModel{}, good) {
 		t.Error("legal consensus history rejected")
 	}
 	bad := []Op{
 		{Proc: 0, Call: 1, Ret: 2, Method: "propose", In: 7, Out: 7},
 		{Proc: 1, Call: 3, Ret: 4, Method: "propose", In: 9, Out: 9}, // disagrees
 	}
-	if Check(ConsensusModel{}, bad) {
+	if agree(t, ConsensusModel{}, bad) {
 		t.Error("disagreeing consensus history accepted")
 	}
 	invalid := []Op{
 		{Proc: 0, Call: 1, Ret: 2, Method: "propose", In: 7, Out: 3}, // not proposed
 	}
-	if Check(ConsensusModel{}, invalid) {
+	if agree(t, ConsensusModel{}, invalid) {
 		t.Error("invalid consensus decision accepted")
 	}
 }
 
 func TestEmptyHistory(t *testing.T) {
-	if !Check(RegisterModel{Initial: 0}, nil) {
+	if !agree(t, RegisterModel{Initial: 0}, nil) {
 		t.Error("empty history rejected")
 	}
 }
@@ -133,7 +133,7 @@ func TestRegisterImplementationHistoriesLinearizable(t *testing.T) {
 		for _, h := range hist {
 			all = append(all, h...)
 		}
-		return Check(RegisterModel{Initial: 0}, all)
+		return agree(t, RegisterModel{Initial: 0}, all)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -161,7 +161,7 @@ func TestConsensusImplementationHistoriesLinearizable(t *testing.T) {
 		if res.DoneCount() != n {
 			return false
 		}
-		return Check(ConsensusModel{}, hist)
+		return agree(t, ConsensusModel{}, hist)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

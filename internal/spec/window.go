@@ -222,5 +222,8 @@ func (m CASRegisterModel) Key(state any) string {
 	if _, unknown := state.(casUnknown); unknown {
 		return "\x00unknown"
 	}
+	if s, ok := state.(string); ok {
+		return s // what fmt.Sprint returns for a string, without the allocations
+	}
 	return fmt.Sprint(state)
 }

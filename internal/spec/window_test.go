@@ -84,10 +84,10 @@ func TestCheckBoundedVerdicts(t *testing.T) {
 		{Proc: 1, Call: 2, Ret: 3, Method: "read", Out: "stale"},
 	}
 	m := CASRegisterModel{Initial: ""}
-	if got := CheckBounded(m, good, 8); got != Linearizable {
+	if got := agreeBounded(t, m, good, 8); got != Linearizable {
 		t.Errorf("good window: %v, want linearizable", got)
 	}
-	if got := CheckBounded(m, bad, 8); got != Violation {
+	if got := agreeBounded(t, m, bad, 8); got != Violation {
 		t.Errorf("bad window: %v, want violation", got)
 	}
 }
@@ -101,10 +101,10 @@ func TestCheckBoundedTruncates(t *testing.T) {
 			Method: "write", In: fmt.Sprintf("v%d", i),
 		})
 	}
-	if got := CheckBounded(m, history, 4); got != Truncated {
+	if got := agreeBounded(t, m, history, 4); got != Truncated {
 		t.Errorf("10 ops with cap 4: %v, want truncated", got)
 	}
-	if got := CheckBounded(m, history, 10); got != Linearizable {
+	if got := agreeBounded(t, m, history, 10); got != Linearizable {
 		t.Errorf("10 ops with cap 10: %v, want linearizable", got)
 	}
 
@@ -114,13 +114,13 @@ func TestCheckBoundedTruncates(t *testing.T) {
 	for i := range big {
 		big[i] = Op{Proc: 0, Call: int64(2 * i), Ret: int64(2*i + 1), Method: "write", In: i}
 	}
-	if got := CheckBounded(m, big, 0); got != Truncated {
+	if got := agreeBounded(t, m, big, 0); got != Truncated {
 		t.Errorf("oversized window with default cap: %v, want truncated", got)
 	}
-	if got := CheckBounded(m, big, 1<<30); got != Truncated {
+	if got := agreeBounded(t, m, big, 1<<30); got != Truncated {
 		t.Errorf("oversized window with huge cap: %v, want truncated", got)
 	}
-	if got := CheckBounded(m, history, 0); got != Linearizable {
+	if got := agreeBounded(t, m, history, 0); got != Linearizable {
 		t.Errorf("10 ops with default cap: %v, want linearizable", got)
 	}
 }
@@ -148,7 +148,7 @@ func TestCASRegisterModel(t *testing.T) {
 		{Proc: 0, Call: 2, Ret: 3, Method: "cas", In: CASInput{Old: "b", New: "c"}, Out: true},
 		{Proc: 1, Call: 4, Ret: 5, Method: "read", Out: "c"},
 	}
-	if !Check(m, h) {
+	if !agree(t, m, h) {
 		t.Error("cas chain should be linearizable")
 	}
 
@@ -157,7 +157,7 @@ func TestCASRegisterModel(t *testing.T) {
 		{Proc: 0, Call: 0, Ret: 3, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: true},
 		{Proc: 1, Call: 1, Ret: 2, Method: "cas", In: CASInput{Old: "a", New: "c"}, Out: true},
 	}
-	if Check(m, h) {
+	if agree(t, m, h) {
 		t.Error("two successful cas from the same old value must not linearize")
 	}
 
@@ -165,7 +165,7 @@ func TestCASRegisterModel(t *testing.T) {
 	h = []Op{
 		{Proc: 0, Call: 0, Ret: 1, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: false},
 	}
-	if Check(m, h) {
+	if agree(t, m, h) {
 		t.Error("failed cas(a->b) on value a must not linearize")
 	}
 
@@ -190,7 +190,7 @@ func TestCASRegisterModelUnknownInit(t *testing.T) {
 		{Proc: 0, Call: 0, Ret: 1, Method: "read", Out: "z"},
 		{Proc: 0, Call: 2, Ret: 3, Method: "read", Out: "z"},
 	}
-	if !Check(m, h) {
+	if !agree(t, m, h) {
 		t.Error("consistent reads from unknown init should linearize")
 	}
 
@@ -200,7 +200,7 @@ func TestCASRegisterModelUnknownInit(t *testing.T) {
 		{Proc: 0, Call: 2, Ret: 3, Method: "write", In: "w"},
 		{Proc: 0, Call: 4, Ret: 5, Method: "read", Out: "z"},
 	}
-	if Check(m, h) {
+	if agree(t, m, h) {
 		t.Error("stale read after write must not linearize even with unknown init")
 	}
 
@@ -211,7 +211,7 @@ func TestCASRegisterModelUnknownInit(t *testing.T) {
 		{Proc: 0, Call: 2, Ret: 3, Method: "cas", In: CASInput{Old: "q", New: "r"}, Out: true},
 		{Proc: 0, Call: 4, Ret: 5, Method: "read", Out: "r"},
 	}
-	if !Check(m, h) {
+	if !agree(t, m, h) {
 		t.Error("failed-then-successful cas from unknown init should linearize")
 	}
 
