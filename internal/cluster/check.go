@@ -185,7 +185,7 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 
 	// Judge the client observations against the replay, and build the
 	// real-time history for the linearizability check.
-	var history []spec.KeyedOp
+	var history []spec.KeyedOp[spec.CASOp]
 	for _, o := range obs.obs {
 		want, committed := expected[o.op.ID]
 		if o.answered && !committed {
@@ -203,28 +203,17 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 		if !committed {
 			continue // never applied anywhere canonical: no effect to check
 		}
-		sop := spec.Op{Proc: o.sub, Call: o.call, Ret: o.ret}
-		res := o.res
+		res, ret := o.res, o.ret
 		if !o.answered {
 			// Committed but unanswered: it took effect at some point after
 			// its call, with the replayed result.
-			sop.Ret = end
-			res = want
+			res, ret = want, end
 		}
-		switch o.op.Kind {
-		case service.OpGet:
-			sop.Method, sop.Out = "read", res.Val
-		case service.OpPut:
-			sop.Method, sop.In = "write", o.op.Val
-		case service.OpCAS:
-			sop.Method = "cas"
-			sop.In = spec.CASInput{Old: o.op.Old, New: o.op.Val}
-			sop.Out = res.OK
-		}
-		history = append(history, spec.KeyedOp{Key: o.op.Key, Op: sop})
+		sop := service.SpecOp(o.op, res)
+		sop.Proc, sop.Call, sop.Ret = o.sub, o.call, ret
+		history = append(history, spec.KeyedOp[spec.CASOp]{Key: o.op.Key, Op: sop})
 	}
-	model := func(string) spec.Model { return spec.CASRegisterModel{Initial: ""} }
-	for _, v := range spec.CheckPartitioned(model, history, spec.MaxWindowOps) {
+	for _, v := range spec.CheckPartitioned(spec.CASRegisterModel{Initial: ""}, history, spec.MaxWindowOps) {
 		switch v.Result {
 		case spec.Violation:
 			out = append(out, fmt.Sprintf("key %q: %d-op client history is not linearizable", v.Key, v.Ops))

@@ -76,11 +76,29 @@ type AuditStats struct {
 	ViolationSamples []string `json:"violation_samples,omitempty"`
 }
 
-// auditRecord is one completed op on its way to the auditor.
+// auditRecord is one completed op on its way to the auditor. It is
+// strings and scalars from here to the verdict — nothing is boxed — so the
+// record path (observe, the mailbox, a window's ops, the check) allocates
+// nothing in steady state (TestAuditObserveZeroAllocs).
 type auditRecord struct {
 	key string
 	ver uint64
-	op  spec.Op
+	op  spec.CASOp
+}
+
+// SpecOp states op and its result as the checker's operation, the one
+// translation between the store's commands and spec.CASRegisterModel. The
+// caller stamps Proc, Call and Ret.
+func SpecOp(op Op, res Result) spec.CASOp {
+	switch op.Kind {
+	case OpGet:
+		return spec.CASOp{Kind: spec.Read, Val: res.Val}
+	case OpPut:
+		return spec.CASOp{Kind: spec.Write, Val: op.Val}
+	case OpCAS:
+		return spec.CASOp{Kind: spec.CAS, Old: op.Old, Val: op.Val, OK: res.OK}
+	}
+	return spec.CASOp{}
 }
 
 // window accumulates one key's contiguous run of operations.
@@ -88,11 +106,12 @@ type window struct {
 	// next is the version the run needs to stay contiguous (0 = adopt the
 	// next record's version as the start).
 	next uint64
-	ops  []spec.Op
+	ops  []spec.CASOp
 	// pending holds out-of-order records (a worker that committed version v
 	// can be preempted before recording it while another worker records
-	// v+1). They are drained into ops as contiguity restores.
-	pending map[uint64]spec.Op
+	// v+1). They are drained into ops as contiguity restores. Most keys
+	// never see one, so the map is made by the first record parked.
+	pending map[uint64]spec.CASOp
 }
 
 // auditor checks sampled per-key windows of the live history against the
@@ -117,6 +136,10 @@ type auditor struct {
 	// without a lock.
 	sample atomic.Uint64
 
+	// checker is the window check's model and scratch, reused from window
+	// to window; only the auditor proc (run) touches it.
+	checker *spec.Checker[spec.CASState, spec.CASOp]
+
 	mu             sync.Mutex
 	windowsChecked int64
 	violations     int64
@@ -129,7 +152,8 @@ type auditor struct {
 // a.run on the runtime (the auditor is a managed proc like the workers, so
 // a virtual run's policy can starve it).
 func newAuditor(cfg AuditConfig, rt Runtime) *auditor {
-	a := &auditor{cfg: cfg, in: rt.newMailbox(cfg.QueueDepth)}
+	a := &auditor{cfg: cfg, in: rt.newMailbox(cfg.QueueDepth),
+		checker: spec.NewChecker(spec.CASRegisterModel{UnknownInit: true})}
 	a.setSampleFraction(cfg.SampleFraction)
 	return a
 }
@@ -155,21 +179,8 @@ func (a *auditor) observe(proc int, r *request, ret int64) {
 	if !a.sampledKey(r.op.Key) {
 		return
 	}
-	rec := auditRecord{key: r.op.Key, ver: r.ver, op: spec.Op{
-		Proc: proc,
-		Call: r.call,
-		Ret:  ret,
-	}}
-	switch r.op.Kind {
-	case OpGet:
-		rec.op.Method, rec.op.Out = "read", r.res.Val
-	case OpPut:
-		rec.op.Method, rec.op.In = "write", r.op.Val
-	case OpCAS:
-		rec.op.Method = "cas"
-		rec.op.In = spec.CASInput{Old: r.op.Old, New: r.op.Val}
-		rec.op.Out = r.res.OK
-	}
+	rec := auditRecord{key: r.op.Key, ver: r.ver, op: SpecOp(r.op, r.res)}
+	rec.op.Proc, rec.op.Call, rec.op.Ret = proc, r.call, ret
 	if a.in.offer(rec) {
 		a.sampled.Add(1)
 	} else {
@@ -195,7 +206,7 @@ func (a *auditor) run(p *sched.Proc) {
 				a.dropped.Add(1)
 				continue
 			}
-			w = &window{pending: make(map[uint64]spec.Op)}
+			w = &window{}
 			windows[rec.key] = w
 		}
 		a.ingest(rec.key, w, rec)
@@ -229,6 +240,9 @@ func (a *auditor) ingest(key string, w *window, rec auditRecord) {
 		// Out of order (or a drop). Park it; if the hole doesn't fill
 		// before the parking lot grows past a window's worth of records,
 		// declare a gap and restart from the oldest parked record.
+		if w.pending == nil {
+			w.pending = make(map[uint64]spec.CASOp)
+		}
 		w.pending[rec.ver] = rec.op
 		if len(w.pending) > a.cfg.WindowOps {
 			a.restart(key, w)
@@ -285,8 +299,8 @@ func (a *auditor) restart(key string, w *window) {
 
 // check runs the bounded linearizability check on one window and records
 // the verdict.
-func (a *auditor) check(key string, ops []spec.Op) {
-	res := spec.CheckBounded(spec.CASRegisterModel{UnknownInit: true}, ops, spec.MaxWindowOps)
+func (a *auditor) check(key string, ops []spec.CASOp) {
+	res := a.checker.CheckBounded(ops, spec.MaxWindowOps)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.windowsChecked++

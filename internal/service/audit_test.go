@@ -187,3 +187,26 @@ func TestAuditorTrackedKeyBound(t *testing.T) {
 		t.Fatalf("windows = %d, want 2 flush windows", st.WindowsChecked)
 	}
 }
+
+// TestAuditObserveZeroAllocs: handing a committed op to the auditor — the
+// typed record built by observe and its mailbox offer, the audit's whole
+// cost on the serving path — allocates nothing, whatever the op's kind.
+func TestAuditObserveZeroAllocs(t *testing.T) {
+	a := newAuditor(AuditConfig{}.withDefaults(), newFreeRuntime()) // nobody takes: the mailbox holds the run
+	reqs := []*request{
+		{op: Op{Kind: OpGet, Key: "k"}, res: Result{Val: "v", OK: true}},
+		{op: Op{Kind: OpPut, Key: "k", Val: "v"}, res: Result{Val: "v", OK: true}},
+		{op: Op{Kind: OpCAS, Key: "k", Old: "v", Val: "w"}, res: Result{Val: "w", OK: true}},
+	}
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, func() {
+		for i, r := range reqs {
+			a.observe(i, r, 2)
+		}
+	}); got != 0 {
+		t.Errorf("observe allocates %.1f objects per get+put+cas, want 0", got)
+	}
+	if st := a.stats(); st.SampledOps != int64((runs+1)*len(reqs)) || st.DroppedOps != 0 {
+		t.Errorf("sampled %d dropped %d: the run did not go through the mailbox", st.SampledOps, st.DroppedOps)
+	}
+}

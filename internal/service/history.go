@@ -88,7 +88,7 @@ func (h *historyRecorder) recordDup(r *request) {
 // contribute the result their client actually observed; unanswered (e.g.
 // the owning worker crashed after commit, before replying) contribute the
 // ground truth, since no client saw anything.
-func (rec histRecord) specOp() spec.Op {
+func (rec histRecord) specOp() spec.CASOp {
 	res := rec.res
 	if rec.r.answered {
 		res = rec.r.res
@@ -103,17 +103,8 @@ func (rec histRecord) specOp() spec.Op {
 			}
 		}
 	}
-	op := spec.Op{Call: rec.r.call, Ret: rec.ret}
-	switch rec.r.op.Kind {
-	case OpGet:
-		op.Method, op.Out = "read", res.Val
-	case OpPut:
-		op.Method, op.In = "write", rec.r.op.Val
-	case OpCAS:
-		op.Method = "cas"
-		op.In = spec.CASInput{Old: rec.r.op.Old, New: rec.r.op.Val}
-		op.Out = res.OK
-	}
+	op := SpecOp(rec.r.op, res)
+	op.Call, op.Ret = rec.r.call, rec.ret
 	return op
 }
 
@@ -170,12 +161,11 @@ func (h *historyRecorder) check() []string {
 	// the known empty initial value. Truncated is a hard failure: it would
 	// mean part of the history went unchecked, which this checker — unlike
 	// the sampling online auditor — must never silently accept.
-	history := make([]spec.KeyedOp, 0, len(h.records))
+	history := make([]spec.KeyedOp[spec.CASOp], 0, len(h.records))
 	for _, rec := range h.records {
-		history = append(history, spec.KeyedOp{Key: rec.r.op.Key, Op: rec.specOp()})
+		history = append(history, spec.KeyedOp[spec.CASOp]{Key: rec.r.op.Key, Op: rec.specOp()})
 	}
-	model := func(string) spec.Model { return spec.CASRegisterModel{Initial: ""} }
-	for _, kv := range spec.CheckPartitioned(model, history, spec.MaxWindowOps) {
+	for _, kv := range spec.CheckPartitioned(spec.CASRegisterModel{Initial: ""}, history, spec.MaxWindowOps) {
 		switch kv.Result {
 		case spec.Violation:
 			out = append(out, fmt.Sprintf(

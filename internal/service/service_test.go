@@ -108,7 +108,7 @@ func TestConcurrentLoad(t *testing.T) {
 	const clients, opsPerClient, keys = 8, 30, 12
 	var clock atomic.Int64
 	type timedOp struct {
-		op  spec.Op
+		op  spec.CASOp
 		key string
 	}
 	histories := make([][]timedOp, clients)
@@ -121,7 +121,7 @@ func TestConcurrentLoad(t *testing.T) {
 			for i := 0; i < opsPerClient; i++ {
 				key := fmt.Sprintf("k%d", rng.IntN(keys))
 				call := clock.Add(1)
-				var sop spec.Op
+				var sop spec.CASOp
 				switch rng.IntN(3) {
 				case 0:
 					v, _, err := s.Get(ctx, key)
@@ -129,19 +129,19 @@ func TestConcurrentLoad(t *testing.T) {
 						t.Errorf("get: %v", err)
 						return
 					}
-					sop = spec.Op{Method: "read", Out: v}
+					sop = spec.CASOp{Kind: spec.Read, Val: v}
 				case 1:
 					val := fmt.Sprintf("c%d-%d", c, i)
 					if err := s.Put(ctx, key, val); err != nil {
 						t.Errorf("put: %v", err)
 						return
 					}
-					sop = spec.Op{Method: "write", In: val}
+					sop = spec.CASOp{Kind: spec.Write, Val: val}
 				default:
 					old, _, _ := s.Get(ctx, key)
 					// The get above is part of the history too.
 					mid := clock.Add(1)
-					sop = spec.Op{Proc: c, Call: call, Ret: mid, Method: "read", Out: old}
+					sop = spec.CASOp{Proc: c, Call: call, Ret: mid, Kind: spec.Read, Val: old}
 					histories[c] = append(histories[c], timedOp{op: sop, key: key})
 					call = clock.Add(1)
 					ok, err := s.CAS(ctx, key, old, fmt.Sprintf("c%d-%d", c, i))
@@ -149,7 +149,7 @@ func TestConcurrentLoad(t *testing.T) {
 						t.Errorf("cas: %v", err)
 						return
 					}
-					sop = spec.Op{Method: "cas", In: spec.CASInput{Old: old, New: fmt.Sprintf("c%d-%d", c, i)}, Out: ok}
+					sop = spec.CASOp{Kind: spec.CAS, Old: old, Val: fmt.Sprintf("c%d-%d", c, i), OK: ok}
 				}
 				sop.Proc, sop.Call, sop.Ret = c, call, clock.Add(1)
 				histories[c] = append(histories[c], timedOp{op: sop, key: key})
@@ -178,14 +178,13 @@ func TestConcurrentLoad(t *testing.T) {
 	// and verify each partition is linearizable from the known "" initial
 	// value. Per-key op counts stay well under spec.MaxWindowOps (the run is
 	// seeded, so the per-key distribution is deterministic).
-	var all []spec.KeyedOp
+	var all []spec.KeyedOp[spec.CASOp]
 	for _, h := range histories {
 		for _, to := range h {
-			all = append(all, spec.KeyedOp{Key: to.key, Op: to.op})
+			all = append(all, spec.KeyedOp[spec.CASOp]{Key: to.key, Op: to.op})
 		}
 	}
-	model := func(string) spec.Model { return spec.CASRegisterModel{Initial: ""} }
-	for _, kv := range spec.CheckPartitioned(model, all, spec.MaxWindowOps) {
+	for _, kv := range spec.CheckPartitioned(spec.CASRegisterModel{Initial: ""}, all, spec.MaxWindowOps) {
 		if kv.Result != spec.Linearizable {
 			t.Errorf("key %s: client-side history %v (%d ops)", kv.Key, kv.Result, kv.Ops)
 		}

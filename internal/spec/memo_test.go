@@ -7,32 +7,36 @@ import (
 	"testing"
 )
 
-// checkRef is Check with the memo keyed the way it was before the struct
-// key — one formatted "done|state" string per search node. It stays as the
-// reference the verdicts of Check are compared against.
-func checkRef(model Model, history []Op) bool {
+// checkRef is the search as it was before Checker: its own copy of the
+// loop, a fresh memo per call, keyed by one formatted "done|state" string
+// per search node (%#v quotes strings, so the key is injective on the
+// states of this package's models). It stays as the reference the verdicts
+// of Check are compared against, and is the only other copy of the search.
+func checkRef[S comparable, O Timed](model Model[S, O], history []O) bool {
 	n := len(history)
-	ops := append([]Op(nil), history...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Call < ops[j].Call })
+	ops := append([]O(nil), history...)
+	call := func(i int) int64 { c, _ := ops[i].Interval(); return c }
+	ret := func(i int) int64 { _, r := ops[i].Interval(); return r }
+	sort.Slice(ops, func(i, j int) bool { return call(i) < call(j) })
 	memo := make(map[string]bool)
-	var search func(done uint64, state any) bool
-	search = func(done uint64, state any) bool {
+	var search func(done uint64, state S) bool
+	search = func(done uint64, state S) bool {
 		if done == (uint64(1)<<uint(n))-1 {
 			return true
 		}
-		key := fmt.Sprintf("%d|%s", done, model.Key(state))
+		key := fmt.Sprintf("%d|%#v", done, state)
 		if v, ok := memo[key]; ok {
 			return v
 		}
 		minRet := int64(1<<62 - 1)
 		for i := 0; i < n; i++ {
-			if done&(1<<uint(i)) == 0 && ops[i].Ret < minRet {
-				minRet = ops[i].Ret
+			if done&(1<<uint(i)) == 0 && ret(i) < minRet {
+				minRet = ret(i)
 			}
 		}
 		ok := false
 		for i := 0; i < n && !ok; i++ {
-			if done&(1<<uint(i)) != 0 || ops[i].Call > minRet {
+			if done&(1<<uint(i)) != 0 || call(i) > minRet {
 				continue
 			}
 			if next, legal := model.Apply(state, ops[i]); legal {
@@ -47,7 +51,7 @@ func checkRef(model Model, history []Op) bool {
 
 // agree is Check for the corpora of this package's tests: it also runs the
 // reference and fails the test where the two verdicts differ.
-func agree(t *testing.T, model Model, history []Op) bool {
+func agree[S comparable, O Timed](t *testing.T, model Model[S, O], history []O) bool {
 	t.Helper()
 	got := Check(model, history)
 	if len(history) > 0 && got != checkRef(model, history) {
@@ -58,9 +62,9 @@ func agree(t *testing.T, model Model, history []Op) bool {
 
 // agreeBounded is agree for CheckBounded: a window that was searched must
 // carry the reference's verdict.
-func agreeBounded(t *testing.T, model Model, history []Op, maxOps int) CheckResult {
+func agreeBounded[S comparable, O Timed](t *testing.T, model Model[S, O], history []O, maxOps int) CheckResult {
 	t.Helper()
-	got := CheckBounded(model, history, maxOps)
+	got := NewChecker(model).CheckBounded(history, maxOps)
 	if got != Truncated && (got == Linearizable) != checkRef(model, history) {
 		t.Errorf("CheckBounded = %v, reference disagrees on %+v", got, history)
 	}
@@ -76,58 +80,113 @@ var windowVals = []string{"", "a", "b", "|", "1|", "1|a", "a|b", "3|1|a"}
 // from a small alphabet whose members contain '|' and digits — the
 // separator and the leading field of the formatted memo key — so a key that
 // confused "done" with "state" would merge distinct search nodes.
-func randomWindow(rng *rand.Rand) []Op {
+func randomWindow(rng *rand.Rand) []CASOp {
 	vals := windowVals
 	pick := func() string { return vals[rng.IntN(len(vals))] }
 	cur := ""
-	ops := make([]Op, 1+rng.IntN(16))
+	ops := make([]CASOp, 1+rng.IntN(16))
 	for i := range ops {
 		at := int64(i) * 10
-		op := Op{Proc: rng.IntN(4), Call: at - rng.Int64N(30), Ret: at + 1 + rng.Int64N(30)}
+		op := CASOp{Proc: rng.IntN(4), Call: at - rng.Int64N(30), Ret: at + 1 + rng.Int64N(30)}
 		switch rng.IntN(3) {
 		case 0:
-			op.Method, op.Out = "read", cur
+			op.Kind, op.Val = Read, cur
 		case 1:
-			op.Method, op.In = "write", pick()
-			cur = op.In.(string)
+			op.Kind, op.Val = Write, pick()
+			cur = op.Val
 		default:
-			in := CASInput{Old: pick(), New: pick()}
-			op.Method, op.In, op.Out = "cas", in, in.Old == cur
-			if in.Old == cur {
-				cur = in.New.(string)
+			op.Kind, op.Old = CAS, pick()
+			op.Val = pick()
+			if op.OK = op.Old == cur; op.OK {
+				cur = op.Val
 			}
 		}
 		ops[i] = op
 	}
 	if rng.IntN(2) == 0 {
-		switch op := &ops[rng.IntN(len(ops))]; op.Method {
-		case "read":
-			op.Out = pick()
-		case "cas":
-			op.Out = !op.Out.(bool)
+		switch op := &ops[rng.IntN(len(ops))]; op.Kind {
+		case Read:
+			op.Val = pick()
+		case CAS:
+			op.OK = !op.OK
 		}
 	}
 	return ops
 }
 
-// TestCheckVerdictsMatchReference: the struct-keyed memo decides every
-// window as the formatted-string memo did, known and unknown initial value
-// alike, and the sample holds both verdicts.
-func TestCheckVerdictsMatchReference(t *testing.T) {
-	for _, state := range []any{7, nil, true, "", windowVals[5], windowVals[7]} {
-		if got, want := (CASRegisterModel{}).Key(state), fmt.Sprint(state); got != want {
-			t.Errorf("Key(%#v) = %q, was %q", state, got, want)
+// loose restates a CASOp window over Op, for RegisterModel: reads and
+// writes keep their meaning, a cas becomes a method that model refuses.
+func loose(w []CASOp) []Op {
+	out := make([]Op, len(w))
+	for i, op := range w {
+		out[i] = Op{Proc: op.Proc, Call: op.Call, Ret: op.Ret}
+		switch op.Kind {
+		case Read:
+			out[i].Method, out[i].Out = "read", op.Val
+		case Write:
+			out[i].Method, out[i].In = "write", op.Val
+		default:
+			out[i].Method = "cas"
 		}
 	}
+	return out
+}
+
+// TestCheckVerdictsMatchReference: the typed search with its state-keyed
+// memo decides every window as the formatted-string memo does, known and
+// unknown initial value alike, and the sample holds both verdicts.
+func TestCheckVerdictsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 1))
 	verdicts := map[CheckResult]int{}
 	for i := 0; i < 1000; i++ {
 		w := randomWindow(rng)
 		verdicts[agreeBounded(t, CASRegisterModel{Initial: ""}, w, 16)]++
 		verdicts[agreeBounded(t, CASRegisterModel{UnknownInit: true}, w, 16)]++
-		agree(t, RegisterModel{Initial: ""}, w) // cas is illegal here: all-violation but for cas-free windows
+		agree(t, RegisterModel{Initial: ""}, loose(w)) // all-violation but for cas-free windows
 	}
 	if verdicts[Linearizable] < 100 || verdicts[Violation] < 100 || verdicts[Truncated] != 0 {
 		t.Errorf("sample is one-sided: %v", verdicts)
+	}
+}
+
+// TestCheckerReuseMatchesFresh: one Checker carried across the same 1,000
+// windows — its sorted-ops buffer and memo table reused, as the auditor
+// reuses them — decides each as a fresh search does.
+func TestCheckerReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 1))
+	c := NewChecker(CASRegisterModel{UnknownInit: true})
+	for i := 0; i < 1000; i++ {
+		w := randomWindow(rng)
+		if got, want := c.Check(w), checkRef(CASRegisterModel{UnknownInit: true}, w); got != want {
+			t.Fatalf("window %d: reused checker = %v, reference = %v on %+v", i, got, want, w)
+		}
+	}
+}
+
+// TestCheckWindowZeroAllocs: a reused checker on a full 16-op window — the
+// auditor's steady state — allocates nothing after its first call, for a
+// linearizable window and for a violation.
+func TestCheckWindowZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 1))
+	var windows [][]CASOp
+	for len(windows) < 8 {
+		if w := randomWindow(rng); len(w) == 16 {
+			windows = append(windows, w)
+		}
+	}
+	c := NewChecker(CASRegisterModel{UnknownInit: true})
+	verdicts := map[CheckResult]int{}
+	for _, w := range windows {
+		verdicts[c.CheckBounded(w, MaxWindowOps)]++
+	}
+	if verdicts[Linearizable] == 0 || verdicts[Violation] == 0 {
+		t.Fatalf("windows are one-sided: %v", verdicts)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, w := range windows {
+			c.CheckBounded(w, MaxWindowOps)
+		}
+	}); got != 0 {
+		t.Errorf("reused checker allocates %.1f objects per %d windows, want 0", got, len(windows))
 	}
 }

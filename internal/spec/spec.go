@@ -12,20 +12,52 @@
 //
 // It is exponential in the worst case, as linearizability checking must be;
 // histories in this repository are small (tens of operations).
+//
+// The search is typed: a Model names its state type S and its operation
+// type O, S is comparable and is the memo key itself, and nothing is boxed,
+// formatted or type-asserted while a history is searched. The serving
+// tier's model is CASRegisterModel over CASOp (strings and scalars);
+// RegisterModel, QueueModel and ConsensusModel specify the paper's objects
+// over the loosely typed Op and run through the same search.
+//
+// A Checker owns the search's scratch — the sorted copy of the history and
+// the memo table — and reuses it from one history to the next, so checking
+// a window with a Checker that has seen one of its size allocates nothing
+// (TestCheckWindowZeroAllocs). That makes a Checker single-goroutine: it
+// must not run two checks at once. The package-level Check and
+// CheckPartitioned build a Checker per call and are safe anywhere.
 package spec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 )
 
-// Op is one completed operation in a history.
+// Timed is what the search reads of an operation whatever its model: the
+// real-time interval between invocation and response. Any monotonic counter
+// works (the test harnesses use a shared atomic counter).
+type Timed interface {
+	Interval() (call, ret int64)
+}
+
+// Model is a sequential specification over states S and operations O. S is
+// the search's memo key, so two states are the same state exactly when they
+// are ==; a state whose dynamic type is not comparable panics the search.
+type Model[S comparable, O Timed] interface {
+	// Init returns the initial state.
+	Init() S
+	// Apply applies op to state, returning the new state and whether the
+	// op's recorded output is legal at this point.
+	Apply(state S, op O) (S, bool)
+}
+
+// Op is one completed operation of the loosely typed models (RegisterModel,
+// QueueModel, ConsensusModel).
 type Op struct {
 	// Proc is the invoking process.
 	Proc int
-	// Call and Ret are the invocation and response times. Any monotonic
-	// counter works (the test harnesses use a shared atomic counter).
+	// Call and Ret are the invocation and response times.
 	Call, Ret int64
 	// Method names the operation.
 	Method string
@@ -33,72 +65,102 @@ type Op struct {
 	In, Out any
 }
 
-// Model is a sequential specification. Apply runs op against the state and
-// reports whether op's output is legal, returning the successor state. State
-// values must be treated as immutable; Key must be injective on states.
-type Model interface {
-	// Init returns the initial state.
-	Init() any
-	// Apply applies op to state, returning the new state and whether the
-	// op's recorded output is legal at this point.
-	Apply(state any, op Op) (any, bool)
-	// Key returns a canonical encoding of a state for memoization.
-	Key(state any) string
+// Interval implements Timed.
+func (op Op) Interval() (call, ret int64) { return op.Call, op.Ret }
+
+// node is one memo entry's key: the ops already linearized and the state
+// they led to.
+type node[S comparable] struct {
+	done  uint64
+	state S
+}
+
+// maxKeptMemo bounds the memo table a Checker carries from one history to
+// the next: clear costs time in the table's capacity, so one pathological
+// window must not tax every later check.
+const maxKeptMemo = 1 << 12
+
+// Checker checks histories against one model, reusing its scratch between
+// calls. It is not safe for concurrent use.
+type Checker[S comparable, O Timed] struct {
+	model Model[S, O]
+	// ops is the history being searched, sorted by call; call and ret are
+	// its intervals, read out once so the search loops index plain arrays.
+	ops       []O
+	call, ret [MaxWindowOps]int64
+	memo      map[node[S]]bool
+}
+
+// NewChecker returns a Checker for model.
+func NewChecker[S comparable, O Timed](model Model[S, O]) *Checker[S, O] {
+	return &Checker[S, O]{model: model, memo: make(map[node[S]]bool)}
 }
 
 // Check reports whether history is linearizable with respect to model.
-func Check(model Model, history []Op) bool {
+func Check[S comparable, O Timed](model Model[S, O], history []O) bool {
+	return NewChecker(model).Check(history)
+}
+
+// Check reports whether history is linearizable with respect to the
+// checker's model. It leaves history as it found it.
+func (c *Checker[S, O]) Check(history []O) bool {
 	n := len(history)
 	if n == 0 {
 		return true
 	}
-	if n > 63 {
+	if n > MaxWindowOps {
 		// The bitmask memoization covers up to 63 ops; histories here are
 		// far smaller. Refuse loudly rather than silently mis-checking.
-		panic(fmt.Sprintf("spec: history too large (%d ops, max 63)", n))
+		panic(fmt.Sprintf("spec: history too large (%d ops, max %d)", n, MaxWindowOps))
 	}
-	ops := append([]Op(nil), history...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Call < ops[j].Call })
+	c.ops = append(c.ops[:0], history...)
+	slices.SortFunc(c.ops, func(a, b O) int {
+		ac, _ := a.Interval()
+		bc, _ := b.Interval()
+		return cmp.Compare(ac, bc)
+	})
+	for i, op := range c.ops {
+		c.call[i], c.ret[i] = op.Interval()
+	}
+	if len(c.memo) > maxKeptMemo {
+		c.memo = make(map[node[S]]bool)
+	} else {
+		clear(c.memo)
+	}
+	return c.search(0, c.model.Init())
+}
 
-	type memoKey struct {
-		done  uint64
-		state string
+// search is the Wing–Gong step: done is the set of ops already linearized,
+// state what they led to.
+func (c *Checker[S, O]) search(done uint64, state S) bool {
+	n := len(c.ops)
+	if done == (uint64(1)<<uint(n))-1 {
+		return true
 	}
-	memo := make(map[memoKey]bool)
-	var search func(done uint64, state any) bool
-	search = func(done uint64, state any) bool {
-		if done == (uint64(1)<<uint(n))-1 {
-			return true
-		}
-		key := memoKey{done, model.Key(state)}
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		// Minimal return among remaining ops bounds which ops may go first:
-		// an op whose call is after some remaining op's return cannot be
-		// linearized before it.
-		minRet := int64(1<<62 - 1)
-		for i := 0; i < n; i++ {
-			if done&(1<<uint(i)) == 0 && ops[i].Ret < minRet {
-				minRet = ops[i].Ret
-			}
-		}
-		ok := false
-		for i := 0; i < n && !ok; i++ {
-			if done&(1<<uint(i)) != 0 {
-				continue
-			}
-			if ops[i].Call > minRet {
-				continue
-			}
-			if next, legal := model.Apply(state, ops[i]); legal {
-				ok = search(done|1<<uint(i), next)
-			}
-		}
-		memo[key] = ok
-		return ok
+	key := node[S]{done, state}
+	if v, ok := c.memo[key]; ok {
+		return v
 	}
-	return search(0, model.Init())
+	// Minimal return among remaining ops bounds which ops may go first:
+	// an op whose call is after some remaining op's return cannot be
+	// linearized before it.
+	minRet := int64(1<<62 - 1)
+	for i := 0; i < n; i++ {
+		if done&(1<<uint(i)) == 0 && c.ret[i] < minRet {
+			minRet = c.ret[i]
+		}
+	}
+	ok := false
+	for i := 0; i < n && !ok; i++ {
+		if done&(1<<uint(i)) != 0 || c.call[i] > minRet {
+			continue
+		}
+		if next, legal := c.model.Apply(state, c.ops[i]); legal {
+			ok = c.search(done|1<<uint(i), next)
+		}
+	}
+	c.memo[key] = ok
+	return ok
 }
 
 // RegisterModel is the sequential specification of a read/write register.
@@ -108,7 +170,7 @@ type RegisterModel struct {
 	Initial any
 }
 
-var _ Model = RegisterModel{}
+var _ Model[any, Op] = RegisterModel{}
 
 // Init implements Model.
 func (m RegisterModel) Init() any { return m.Initial }
@@ -126,61 +188,50 @@ func (m RegisterModel) Apply(state any, op Op) (any, bool) {
 	}
 }
 
-// Key implements Model.
-func (m RegisterModel) Key(state any) string { return fmt.Sprint(state) }
-
-// queueState is an immutable FIFO snapshot encoded as a joined string.
-type queueState struct{ items []any }
+// queueState is a FIFO snapshot: items[:n], head first, the rest nil so
+// that equal queues are == states. A history enqueues at most MaxWindowOps
+// items, which is what lets the state be an array and so comparable.
+type queueState struct {
+	items [MaxWindowOps]any
+	n     int
+}
 
 // QueueModel is the sequential specification of a FIFO queue with
 // non-blocking dequeue. Methods: "enq" (In = value), "deq" (Out = value or
 // nil for empty).
 type QueueModel struct{}
 
-var _ Model = QueueModel{}
+var _ Model[queueState, Op] = QueueModel{}
 
 // Init implements Model.
-func (QueueModel) Init() any { return queueState{} }
+func (QueueModel) Init() queueState { return queueState{} }
 
 // Apply implements Model.
-func (QueueModel) Apply(state any, op Op) (any, bool) {
-	st, ok := state.(queueState)
-	if !ok {
-		return state, false
-	}
+func (QueueModel) Apply(st queueState, op Op) (queueState, bool) {
 	switch op.Method {
 	case "enq":
-		items := make([]any, 0, len(st.items)+1)
-		items = append(items, st.items...)
-		items = append(items, op.In)
-		return queueState{items: items}, true
+		st.items[st.n] = op.In
+		st.n++
+		return st, true
 	case "deq":
-		if len(st.items) == 0 {
+		if st.n == 0 {
 			return st, op.Out == nil
 		}
 		head := st.items[0]
-		rest := append([]any(nil), st.items[1:]...)
-		return queueState{items: rest}, head == op.Out
+		copy(st.items[:], st.items[1:st.n])
+		st.n--
+		st.items[st.n] = nil
+		return st, head == op.Out
 	default:
-		return state, false
+		return st, false
 	}
-}
-
-// Key implements Model.
-func (QueueModel) Key(state any) string {
-	st, _ := state.(queueState)
-	parts := make([]string, len(st.items))
-	for i, v := range st.items {
-		parts[i] = fmt.Sprint(v)
-	}
-	return strings.Join(parts, ",")
 }
 
 // ConsensusModel is the sequential specification of single-shot consensus:
 // the first propose fixes the decision; every propose outputs it.
 type ConsensusModel struct{}
 
-var _ Model = ConsensusModel{}
+var _ Model[any, Op] = ConsensusModel{}
 
 // Init implements Model.
 func (ConsensusModel) Init() any { return nil }
@@ -196,6 +247,3 @@ func (ConsensusModel) Apply(state any, op Op) (any, bool) {
 	}
 	return state, op.Out == state
 }
-
-// Key implements Model.
-func (ConsensusModel) Key(state any) string { return fmt.Sprint(state) }

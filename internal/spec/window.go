@@ -15,10 +15,7 @@
 //     them; a truncated window is "not audited", never "passed".
 package spec
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // MaxWindowOps is the hard ceiling on the ops CheckBounded will search:
 // Check's bitmask memoization covers 63 operations, and windows near that
@@ -51,18 +48,18 @@ func (r CheckResult) String() string {
 	}
 }
 
-// CheckBounded checks history against model if it fits within maxOps
-// operations, returning Truncated otherwise. maxOps <= 0 or maxOps >
-// MaxWindowOps means MaxWindowOps. Unlike Check, it never panics on
-// oversized histories.
-func CheckBounded(model Model, history []Op, maxOps int) CheckResult {
+// CheckBounded checks history against the checker's model if it fits
+// within maxOps operations, returning Truncated otherwise. maxOps <= 0 or
+// maxOps > MaxWindowOps means MaxWindowOps. Unlike Check, it never panics
+// on oversized histories.
+func (c *Checker[S, O]) CheckBounded(history []O, maxOps int) CheckResult {
 	if maxOps <= 0 || maxOps > MaxWindowOps {
 		maxOps = MaxWindowOps
 	}
 	if len(history) > maxOps {
 		return Truncated
 	}
-	if Check(model, history) {
+	if c.Check(history) {
 		return Linearizable
 	}
 	return Violation
@@ -86,11 +83,11 @@ func PartitionByKey(history []Op, keyOf func(Op) string) map[string][]Op {
 }
 
 // KeyedOp couples one operation with the key it addressed, the input shape
-// of CheckPartitioned (spec.Op itself is key-agnostic; the store knows the
+// of CheckPartitioned (operations are key-agnostic; the store knows the
 // routing).
-type KeyedOp struct {
+type KeyedOp[O Timed] struct {
 	Key string
-	Op  Op
+	Op  O
 }
 
 // KeyVerdict is the outcome of checking one key's projection of a keyed
@@ -102,14 +99,14 @@ type KeyVerdict struct {
 }
 
 // CheckPartitioned checks every per-key projection of a keyed history
-// against the model minted by modelOf, each bounded by maxOps (with
-// CheckBounded's semantics). For a store whose per-key objects are
-// independent, the whole history is linearizable iff every verdict is
-// Linearizable, and a Truncated verdict means that key's slice of the
-// history went unchecked. Verdicts are sorted by key, so the output is
-// deterministic regardless of input order.
-func CheckPartitioned(modelOf func(key string) Model, history []KeyedOp, maxOps int) []KeyVerdict {
-	byKey := make(map[string][]Op)
+// against model — every key is its own object with the same specification
+// — each bounded by maxOps (with CheckBounded's semantics). For a store
+// whose per-key objects are independent, the whole history is linearizable
+// iff every verdict is Linearizable, and a Truncated verdict means that
+// key's slice of the history went unchecked. Verdicts are sorted by key, so
+// the output is deterministic regardless of input order.
+func CheckPartitioned[S comparable, O Timed](model Model[S, O], history []KeyedOp[O], maxOps int) []KeyVerdict {
+	byKey := make(map[string][]O)
 	for _, ko := range history {
 		byKey[ko.Key] = append(byKey[ko.Key], ko.Op)
 	}
@@ -118,34 +115,57 @@ func CheckPartitioned(modelOf func(key string) Model, history []KeyedOp, maxOps 
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
+	c := NewChecker(model)
 	out := make([]KeyVerdict, 0, len(keys))
 	for _, key := range keys {
 		ops := byKey[key]
-		out = append(out, KeyVerdict{
-			Key:    key,
-			Ops:    len(ops),
-			Result: CheckBounded(modelOf(key), ops, maxOps),
-		})
+		out = append(out, KeyVerdict{Key: key, Ops: len(ops), Result: c.CheckBounded(ops, maxOps)})
 	}
 	return out
 }
 
-// CASInput is the input of a "cas" operation under CASRegisterModel.
-type CASInput struct {
-	// Old is the expected current value; New replaces it on a match.
-	Old, New any
+// CASKind names a CASOp's operation.
+type CASKind uint8
+
+const (
+	// Read outputs the register's value in CASOp.Val.
+	Read CASKind = iota + 1
+	// Write stores CASOp.Val.
+	Write
+	// CAS replaces CASOp.Old with CASOp.Val and outputs in CASOp.OK whether
+	// it did.
+	CAS
+)
+
+// CASOp is one completed operation on a string register under
+// CASRegisterModel: the record the serving tier's auditor carries from a
+// commit to its window's verdict. It holds strings and scalars only, so
+// building, queueing and checking one allocates nothing.
+type CASOp struct {
+	// Proc is the invoking process.
+	Proc int
+	// Call and Ret are the invocation and response times.
+	Call, Ret int64
+	Kind      CASKind
+	// OK is a CAS's output: whether the swap happened.
+	OK bool
+	// Val is the value a Read returned, a Write stored or a CAS installs;
+	// Old is the value a CAS expects to find.
+	Val, Old string
 }
 
-// casUnknown is the internal sentinel for "value not determined by the
-// window so far" under CASRegisterModel with UnknownInit.
-type casUnknown struct{}
+// Interval implements Timed.
+func (op CASOp) Interval() (call, ret int64) { return op.Call, op.Ret }
 
-// CASRegisterModel is the sequential specification of a single register
-// supporting read, write and compare-and-swap. Methods:
-//
-//	"read"  — Out is the value read
-//	"write" — In is the value written
-//	"cas"   — In is a CASInput, Out is the success bool
+// CASState is CASRegisterModel's state: the register's value, or — known
+// false — "not determined by the window so far".
+type CASState struct {
+	val   string
+	known bool
+}
+
+// CASRegisterModel is the sequential specification of a single string
+// register supporting read, write and compare-and-swap (CASOp).
 //
 // With UnknownInit true the initial value is unconstrained: the model
 // tracks an "unknown" state that any read may resolve. This is the mode an
@@ -156,74 +176,39 @@ type casUnknown struct{}
 type CASRegisterModel struct {
 	// Initial is the register's initial value (used when UnknownInit is
 	// false).
-	Initial any
+	Initial string
 	// UnknownInit makes the initial value unconstrained.
 	UnknownInit bool
 }
 
-var _ Model = CASRegisterModel{}
+var _ Model[CASState, CASOp] = CASRegisterModel{}
 
 // Init implements Model.
-func (m CASRegisterModel) Init() any {
+func (m CASRegisterModel) Init() CASState {
 	if m.UnknownInit {
-		return casUnknown{}
+		return CASState{}
 	}
-	return m.Initial
+	return CASState{val: m.Initial, known: true}
 }
 
 // Apply implements Model.
-func (m CASRegisterModel) Apply(state any, op Op) (any, bool) {
-	_, unknown := state.(casUnknown)
-	switch op.Method {
-	case "write":
-		return op.In, true
-	case "read":
-		if unknown {
-			// The read resolves the unknown value.
-			return op.Out, true
+func (m CASRegisterModel) Apply(state CASState, op CASOp) (CASState, bool) {
+	switch op.Kind {
+	case Write:
+		return CASState{val: op.Val, known: true}, true
+	case Read:
+		// A read of the unknown value resolves it.
+		return CASState{val: op.Val, known: true}, !state.known || state.val == op.Val
+	case CAS:
+		// On the unknown value either outcome is legal: a successful cas
+		// proves the value was op.Old and sets it to op.Val; a failed one
+		// only proves it differed from op.Old, so the state stays unknown
+		// (sound over-approximation).
+		if op.OK {
+			return CASState{val: op.Val, known: true}, !state.known || state.val == op.Old
 		}
-		return state, state == op.Out
-	case "cas":
-		in, ok := op.In.(CASInput)
-		if !ok {
-			return state, false
-		}
-		succeeded, ok := op.Out.(bool)
-		if !ok {
-			return state, false
-		}
-		if unknown {
-			if succeeded {
-				// A successful cas proves the value was in.Old and sets it
-				// to in.New.
-				return in.New, true
-			}
-			// A failed cas only proves the value differed from in.Old;
-			// the state stays unknown (sound over-approximation).
-			return state, true
-		}
-		if state == in.Old {
-			if !succeeded {
-				return state, false
-			}
-			return in.New, true
-		}
-		if succeeded {
-			return state, false
-		}
-		return state, true
+		return state, !state.known || state.val != op.Old
 	default:
 		return state, false
 	}
-}
-
-// Key implements Model.
-func (m CASRegisterModel) Key(state any) string {
-	if _, unknown := state.(casUnknown); unknown {
-		return "\x00unknown"
-	}
-	if s, ok := state.(string); ok {
-		return s // what fmt.Sprint returns for a string, without the allocations
-	}
-	return fmt.Sprint(state)
 }

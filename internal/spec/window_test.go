@@ -6,16 +6,16 @@ import (
 )
 
 func TestCheckPartitioned(t *testing.T) {
-	model := func(string) Model { return CASRegisterModel{Initial: ""} }
-	history := []KeyedOp{
+	model := CASRegisterModel{Initial: ""}
+	history := []KeyedOp[CASOp]{
 		// Key a: sequential write then matching read — linearizable.
-		{Key: "a", Op: Op{Call: 1, Ret: 2, Method: "write", In: "x"}},
-		{Key: "a", Op: Op{Call: 3, Ret: 4, Method: "read", Out: "x"}},
+		{Key: "a", Op: CASOp{Call: 1, Ret: 2, Kind: Write, Val: "x"}},
+		{Key: "a", Op: CASOp{Call: 3, Ret: 4, Kind: Read, Val: "x"}},
 		// Key b: sequential write then a stale read — violation.
-		{Key: "b", Op: Op{Call: 1, Ret: 2, Method: "write", In: "y"}},
-		{Key: "b", Op: Op{Call: 3, Ret: 4, Method: "read", Out: "stale"}},
+		{Key: "b", Op: CASOp{Call: 1, Ret: 2, Kind: Write, Val: "y"}},
+		{Key: "b", Op: CASOp{Call: 3, Ret: 4, Kind: Read, Val: "stale"}},
 		// Key c: a single op, fine.
-		{Key: "c", Op: Op{Call: 1, Ret: 2, Method: "cas", In: CASInput{Old: "", New: "z"}, Out: true}},
+		{Key: "c", Op: CASOp{Call: 1, Ret: 2, Kind: CAS, Old: "", Val: "z", OK: true}},
 	}
 	got := CheckPartitioned(model, history, MaxWindowOps)
 	want := []KeyVerdict{
@@ -33,11 +33,11 @@ func TestCheckPartitioned(t *testing.T) {
 	}
 
 	// Oversized partitions come back Truncated, never silently skipped.
-	var big []KeyedOp
+	var big []KeyedOp[Op]
 	for i := 0; i < MaxWindowOps+1; i++ {
-		big = append(big, KeyedOp{Key: "k", Op: Op{Call: int64(2*i + 1), Ret: int64(2*i + 2), Method: "write", In: i}})
+		big = append(big, KeyedOp[Op]{Key: "k", Op: Op{Call: int64(2*i + 1), Ret: int64(2*i + 2), Method: "write", In: i}})
 	}
-	out := CheckPartitioned(func(string) Model { return RegisterModel{} }, big, MaxWindowOps)
+	out := CheckPartitioned(RegisterModel{}, big, MaxWindowOps)
 	if len(out) != 1 || out[0].Result != Truncated || out[0].Ops != MaxWindowOps+1 {
 		t.Fatalf("oversized partition = %+v, want Truncated", out)
 	}
@@ -75,13 +75,13 @@ func TestPartitionByKey(t *testing.T) {
 }
 
 func TestCheckBoundedVerdicts(t *testing.T) {
-	good := []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "write", In: "x"},
-		{Proc: 1, Call: 2, Ret: 3, Method: "read", Out: "x"},
+	good := []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: Write, Val: "x"},
+		{Proc: 1, Call: 2, Ret: 3, Kind: Read, Val: "x"},
 	}
-	bad := []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "write", In: "x"},
-		{Proc: 1, Call: 2, Ret: 3, Method: "read", Out: "stale"},
+	bad := []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: Write, Val: "x"},
+		{Proc: 1, Call: 2, Ret: 3, Kind: Read, Val: "stale"},
 	}
 	m := CASRegisterModel{Initial: ""}
 	if got := agreeBounded(t, m, good, 8); got != Linearizable {
@@ -94,11 +94,11 @@ func TestCheckBoundedVerdicts(t *testing.T) {
 
 func TestCheckBoundedTruncates(t *testing.T) {
 	m := CASRegisterModel{Initial: ""}
-	var history []Op
+	var history []CASOp
 	for i := 0; i < 10; i++ {
-		history = append(history, Op{
+		history = append(history, CASOp{
 			Proc: i, Call: int64(2 * i), Ret: int64(2*i + 1),
-			Method: "write", In: fmt.Sprintf("v%d", i),
+			Kind: Write, Val: fmt.Sprintf("v%d", i),
 		})
 	}
 	if got := agreeBounded(t, m, history, 4); got != Truncated {
@@ -110,9 +110,9 @@ func TestCheckBoundedTruncates(t *testing.T) {
 
 	// maxOps <= 0 and maxOps > MaxWindowOps both mean MaxWindowOps; unlike
 	// Check, an oversized window must not panic.
-	big := make([]Op, MaxWindowOps+1)
+	big := make([]CASOp, MaxWindowOps+1)
 	for i := range big {
-		big[i] = Op{Proc: 0, Call: int64(2 * i), Ret: int64(2*i + 1), Method: "write", In: i}
+		big[i] = CASOp{Proc: 0, Call: int64(2 * i), Ret: int64(2*i + 1), Kind: Write, Val: fmt.Sprint(i)}
 	}
 	if got := agreeBounded(t, m, big, 0); got != Truncated {
 		t.Errorf("oversized window with default cap: %v, want truncated", got)
@@ -143,41 +143,36 @@ func TestCASRegisterModel(t *testing.T) {
 	m := CASRegisterModel{Initial: "a"}
 
 	// Successful cas chain: a -> b -> c, read sees c.
-	h := []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: true},
-		{Proc: 0, Call: 2, Ret: 3, Method: "cas", In: CASInput{Old: "b", New: "c"}, Out: true},
-		{Proc: 1, Call: 4, Ret: 5, Method: "read", Out: "c"},
+	h := []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: CAS, Old: "a", Val: "b", OK: true},
+		{Proc: 0, Call: 2, Ret: 3, Kind: CAS, Old: "b", Val: "c", OK: true},
+		{Proc: 1, Call: 4, Ret: 5, Kind: Read, Val: "c"},
 	}
 	if !agree(t, m, h) {
 		t.Error("cas chain should be linearizable")
 	}
 
 	// Two concurrent cas(a->x) can't both succeed.
-	h = []Op{
-		{Proc: 0, Call: 0, Ret: 3, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: true},
-		{Proc: 1, Call: 1, Ret: 2, Method: "cas", In: CASInput{Old: "a", New: "c"}, Out: true},
+	h = []CASOp{
+		{Proc: 0, Call: 0, Ret: 3, Kind: CAS, Old: "a", Val: "b", OK: true},
+		{Proc: 1, Call: 1, Ret: 2, Kind: CAS, Old: "a", Val: "c", OK: true},
 	}
 	if agree(t, m, h) {
 		t.Error("two successful cas from the same old value must not linearize")
 	}
 
 	// A failed cas against a matching value is illegal when sequential.
-	h = []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: false},
+	h = []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: CAS, Old: "a", Val: "b", OK: false},
 	}
 	if agree(t, m, h) {
 		t.Error("failed cas(a->b) on value a must not linearize")
 	}
 
-	// Malformed inputs are illegal, as is an unknown method.
-	if _, ok := m.Apply("a", Op{Method: "cas", In: "not-cas-input", Out: true}); ok {
-		t.Error("cas with malformed In should be illegal")
-	}
-	if _, ok := m.Apply("a", Op{Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: "yes"}); ok {
-		t.Error("cas with non-bool Out should be illegal")
-	}
-	if _, ok := m.Apply("a", Op{Method: "bump"}); ok {
-		t.Error("unknown method should be illegal")
+	// An op of no kind is illegal (malformed inputs no longer exist: the
+	// fields are typed).
+	if _, ok := m.Apply(m.Init(), CASOp{}); ok {
+		t.Error("unknown kind should be illegal")
 	}
 }
 
@@ -186,19 +181,19 @@ func TestCASRegisterModelUnknownInit(t *testing.T) {
 
 	// A window cut from mid-history: the first read resolves the unknown
 	// value, and later ops are constrained by it.
-	h := []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "read", Out: "z"},
-		{Proc: 0, Call: 2, Ret: 3, Method: "read", Out: "z"},
+	h := []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: Read, Val: "z"},
+		{Proc: 0, Call: 2, Ret: 3, Kind: Read, Val: "z"},
 	}
 	if !agree(t, m, h) {
 		t.Error("consistent reads from unknown init should linearize")
 	}
 
 	// Stale read after a write inside the window is still caught.
-	h = []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "read", Out: "z"},
-		{Proc: 0, Call: 2, Ret: 3, Method: "write", In: "w"},
-		{Proc: 0, Call: 4, Ret: 5, Method: "read", Out: "z"},
+	h = []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: Read, Val: "z"},
+		{Proc: 0, Call: 2, Ret: 3, Kind: Write, Val: "w"},
+		{Proc: 0, Call: 4, Ret: 5, Kind: Read, Val: "z"},
 	}
 	if agree(t, m, h) {
 		t.Error("stale read after write must not linearize even with unknown init")
@@ -206,17 +201,17 @@ func TestCASRegisterModelUnknownInit(t *testing.T) {
 
 	// A successful cas resolves the unknown value to New; a failed cas
 	// keeps it unknown (sound: never a false violation).
-	h = []Op{
-		{Proc: 0, Call: 0, Ret: 1, Method: "cas", In: CASInput{Old: "a", New: "b"}, Out: false},
-		{Proc: 0, Call: 2, Ret: 3, Method: "cas", In: CASInput{Old: "q", New: "r"}, Out: true},
-		{Proc: 0, Call: 4, Ret: 5, Method: "read", Out: "r"},
+	h = []CASOp{
+		{Proc: 0, Call: 0, Ret: 1, Kind: CAS, Old: "a", Val: "b", OK: false},
+		{Proc: 0, Call: 2, Ret: 3, Kind: CAS, Old: "q", Val: "r", OK: true},
+		{Proc: 0, Call: 4, Ret: 5, Kind: Read, Val: "r"},
 	}
 	if !agree(t, m, h) {
 		t.Error("failed-then-successful cas from unknown init should linearize")
 	}
 
-	// Distinct unknown-state memo keys must not collide with a real value.
-	if m.Key(casUnknown{}) == m.Key("unknown") {
-		t.Error("unknown sentinel key collides with a value key")
+	// The unknown state is its own memo key: no value, "" included, is it.
+	if m.Init() == (CASRegisterModel{Initial: ""}).Init() {
+		t.Error("unknown state collides with a value state")
 	}
 }

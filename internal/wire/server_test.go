@@ -469,6 +469,14 @@ func TestShutdownForceClosesHungConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	// Dial returns once the kernel has the connection; the accept loop may
+	// not have tracked it yet, and a Shutdown that finds no connection has
+	// nothing to wait for.
+	for tracked := 0; tracked == 0; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		tracked = len(srv.conns)
+		srv.mu.Unlock()
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
