@@ -16,7 +16,7 @@ import (
 // streamed to both followers, quorum-acked and answered. ns/op is the full
 // client-visible commit latency.
 func BenchmarkClusterReplicate(b *testing.B) {
-	nodes := startFreeCluster(b, 3, 1, false)
+	nodes := startFreeCluster(b, 3, 1)
 	defer func() {
 		for _, n := range nodes {
 			n.Close()
@@ -52,7 +52,7 @@ func BenchmarkClusterReplicate(b *testing.B) {
 func BenchmarkClusterReplicateBatched(b *testing.B) {
 	for _, batch := range []int{8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			nodes := startFreeClusterCfg(b, 3, 1, false, func(c *Config) {
+			nodes := startFreeClusterCfg(b, 3, 1, func(c *Config) {
 				c.MaxInflightEntries = 32
 				c.BatchWindow = (200 * time.Microsecond).Nanoseconds()
 			})
@@ -118,7 +118,7 @@ func BenchmarkFailover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nodes := startFreeCluster(b, 3, 1, false)
+		nodes := startFreeCluster(b, 3, 1)
 		if _, err := nodes[1].Do(ctx, service.Op{Kind: service.OpPut, Key: "k", Val: "pre", ID: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkFailoverPipelined(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nodes := startFreeClusterCfg(b, 3, 1, false, pipelined)
+		nodes := startFreeClusterCfg(b, 3, 1, pipelined)
 		// Leave uncommitted work behind: fire a burst through the doomed
 		// owner right before the kill so the window is non-trivially full.
 		for j := 0; j < 16; j++ {

@@ -2,21 +2,26 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/service"
 	"repro/internal/spec"
+	"repro/internal/wire"
 )
 
 // This file is the virtual runs' exhaustive correctness checker. After a
 // controlled run finishes, checkRun reconstructs the ground truth from the
-// replica logs (Config.RetainLog keeps them complete) and judges every
-// client observation against it:
+// replica chains and judges every client observation against it. The nodes
+// cut their logs exactly as production does, so a replica's chain is two
+// parts joined (Node.chain): the entries it applied, from the append-only
+// recorder the harness installs (Node.rec), and its kept log above applied
+// — truncation never cuts above applied, so the join is the whole log.
 //
 //  1. Canonical chain. Per shard, the canonical committed history is the
-//     log of the replica with the lexicographically greatest (last-entry
+//     chain of the replica with the lexicographically greatest (last-entry
 //     epoch, frontier) — by the election safety argument (cluster.go's
-//     safety notes) that log contains every entry whose client was
+//     safety notes) that chain contains every entry whose client was
 //     answered.
 //  2. Committed-prefix agreement. Every pair of replicas must agree
 //     (epoch and ops) on every seq both have committed — a disagreement
@@ -141,27 +146,17 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 				canon, canonNode = sr, id
 			}
 		}
-		if canon.base != 0 {
-			out = append(out, fmt.Sprintf("shard %d: canonical log truncated (base %d) — run with RetainLog",
-				s, canon.base))
-			continue
-		}
+		canonChain := nodes[canonNode].chain(s)
 		// Committed-prefix agreement across replicas.
 		for _, id := range cfg.StoreNodes {
 			sr := nodes[id].shards[s]
 			if id == canonNode {
 				continue
 			}
-			lim := sr.committed
-			if canon.committed < lim {
-				lim = canon.committed
-			}
-			for seq := uint64(1); seq <= lim; seq++ {
-				a, b := canon.entryAt(seq), sr.entryAt(seq)
-				if a == nil || b == nil {
-					continue // truncated on one side; RetainLog configs never hit this
-				}
-				if a.Epoch != b.Epoch || !sameOps(a.Ops, b.Ops) {
+			other := nodes[id].chain(s)
+			for seq := uint64(1); seq <= min(sr.committed, canon.committed); seq++ {
+				a, b := canonChain[seq-1], other[seq-1]
+				if a.Epoch != b.Epoch || !slices.Equal(a.Ops, b.Ops) {
 					out = append(out, fmt.Sprintf(
 						"shard %d: split brain — node %d and node %d committed different entries at seq %d",
 						s, canonNode, id, seq))
@@ -171,7 +166,7 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 		}
 		// Replay the canonical chain.
 		rs := newReplayState()
-		for _, e := range canon.entries {
+		for _, e := range canonChain {
 			for _, op := range e.Ops {
 				res := rs.step(op)
 				if op.ID != 0 {
@@ -225,14 +220,10 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 	return out
 }
 
-func sameOps(a, b []service.Op) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// chain returns the replica's whole log of one shard, seq 1 to frontier:
+// the applied entries from the recorder, then the kept log above applied.
+// The recorder must be installed (rec non-nil) before the node runs.
+func (n *Node) chain(shard int) []wire.RepEntry {
+	sr, done := n.shards[shard], n.rec[shard]
+	return append(done[:len(done):len(done)], sr.entriesFrom(sr.applied+1, int(sr.frontier-sr.applied))...)
 }

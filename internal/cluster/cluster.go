@@ -74,7 +74,10 @@ type NodeID uint16
 
 // Config shapes one Node. Durations are in transport clock units:
 // nanoseconds in free mode, scheduler steps in virtual mode — call
-// withDefaults with the right mode to fill the zero fields.
+// withDefaults with the right mode to fill the zero fields. There is one
+// log configuration: every node, virtual or free, cuts its replication log
+// below what the owner has applied and every live replica has committed,
+// so the virtual scenarios run exactly the log production runs.
 type Config struct {
 	// ID is this node's id; Nodes is the deployment size (ids are dense).
 	ID    NodeID
@@ -92,8 +95,6 @@ type Config struct {
 	Frontend bool
 	Store    bool
 
-	// MaxEntryOps bounds the client ops batched into one log entry.
-	MaxEntryOps int
 	// MaxInflightEntries bounds the owner's pipelined window: how many
 	// uncommitted log entries may be outstanding per shard before pump
 	// stops cutting new ones. 1 degenerates to stop-and-wait (every entry
@@ -103,7 +104,7 @@ type Config struct {
 	// BatchWindow is how long the owner lets pending routes accumulate
 	// before cutting a log entry (free mode: ns, virtual mode: steps),
 	// trading bounded latency for fan-out amortization. 0 cuts on first
-	// arrival. A full batch (MaxEntryOps) always cuts immediately; the
+	// arrival. A full batch (maxEntryOps) always cuts immediately; the
 	// effective wait is bounded by BatchWindow + TickEvery.
 	BatchWindow int64
 	// TickEvery is the event loop's timer granularity.
@@ -120,14 +121,12 @@ type Config struct {
 	// stalled election with a higher epoch.
 	ElectionBackoff int64
 	// RouteTimeout is how long a front end waits for a routed op's RepDone
-	// before resending (to the currently believed owner).
+	// before resending to the currently believed owner — or, when that
+	// owner has been silent for OwnerTimeout, to the next store node in the
+	// shard's preference order, which redirects to the owner it knows.
 	RouteTimeout int64
 	// RetransmitEvery paces the owner's resend of unacknowledged suffixes.
 	RetransmitEvery int64
-	// RetainLog keeps the whole replication log in memory (virtual mode:
-	// the checker replays it). Free mode truncates below what the owner has
-	// applied and all live replicas have committed.
-	RetainLog bool
 
 	// Logf, when non-nil, receives protocol-level event logs.
 	Logf func(format string, args ...any)
@@ -155,12 +154,6 @@ func (c Config) withDefaults(virtual bool) Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.MaxEntryOps <= 0 {
-		c.MaxEntryOps = 512
-		if virtual {
-			c.MaxEntryOps = 8
-		}
 	}
 	if c.MaxInflightEntries <= 0 {
 		c.MaxInflightEntries = 16

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // equivalenceScript is the fixed replication script both runtimes play: a
@@ -40,32 +42,12 @@ func equivalenceScript() []service.Op {
 	return ops
 }
 
-// flatEntry is one committed log entry in comparable form.
-type flatEntry struct {
-	Seq, Epoch uint64
-	Ops        []service.Op
-}
-
-// chain flattens a node's retained shard-0 log into comparable form.
-func chain(t *testing.T, n *Node) []flatEntry {
-	t.Helper()
-	base, entries := n.Entries(0)
-	if base != 0 {
-		t.Fatalf("node %d log truncated (base %d); equivalence needs RetainLog", n.cfg.ID, base)
-	}
-	out := make([]flatEntry, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, flatEntry{Seq: e.Seq, Epoch: e.Epoch, Ops: append([]service.Op(nil), e.Ops...)})
-	}
-	return out
-}
-
-// isPrefix reports whether a is a prefix of b.
-func isPrefix(a, b []flatEntry) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	return reflect.DeepEqual(a, b[:len(a)])
+// isPrefix reports whether a is a prefix of b (entry by entry: an empty
+// chain is nil, which DeepEqual would tell apart from b[:0]).
+func isPrefix(a, b []wire.RepEntry) bool {
+	return len(a) <= len(b) && slices.EqualFunc(a, b[:len(a)], func(x, y wire.RepEntry) bool {
+		return reflect.DeepEqual(x, y)
+	})
 }
 
 // TestCrossRuntimeEquivalence: the same replication script driven through a
@@ -91,7 +73,7 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	script := equivalenceScript()
 
 	// --- Free mode ---
-	freeNodes := startFreeClusterCfg(t, 3, 1, true, func(c *Config) {
+	freeNodes := startFreeClusterCfg(t, 3, 1, func(c *Config) {
 		c.MaxInflightEntries = inflight
 		c.BatchWindow = freeWindow
 	})
@@ -114,7 +96,7 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	for i := len(freeNodes) - 1; i >= 0; i-- {
 		freeNodes[i].Close()
 	}
-	freeChain := chain(t, freeNodes[0])
+	freeChain := freeNodes[0].chain(0)
 
 	// --- Virtual mode ---
 	const procs = 8 // 2 client/driver + 3 node loops + 3 store procs
@@ -132,9 +114,10 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 		}, vr)
 		n := New(Config{
 			ID: NodeID(i), Nodes: 3, StoreNodes: stores, Shards: 1,
-			Frontend: true, Store: true, RetainLog: true,
+			Frontend: true, Store: true,
 			MaxInflightEntries: inflight, BatchWindow: virtWindow,
 		}, vn.Endpoint(NodeID(i)), []*service.Store{st})
+		n.rec = make([][]wire.RepEntry, 1)
 		virtNodes[i] = n
 		r.Spawn(2+i, n.Run)
 	}
@@ -163,7 +146,7 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 			t.Fatalf("virtual proc %d ended %v", id, s)
 		}
 	}
-	virtChain := chain(t, virtNodes[0])
+	virtChain := virtNodes[0].chain(0)
 	obs := &obsLog{}
 	if viol := checkRun(virtNodes, obs, res.TotalSteps+1); len(viol) != 0 {
 		t.Fatalf("virtual checker violations: %v", viol)
@@ -192,10 +175,10 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	// prefix (the slowest follower may legitimately lag the final entries
 	// at shutdown, but never diverge).
 	for i := 1; i < 3; i++ {
-		if got := chain(t, freeNodes[i]); !isPrefix(got, freeChain) {
+		if got := freeNodes[i].chain(0); !isPrefix(got, freeChain) {
 			t.Fatalf("free replica %d chain diverges from owner:\n%+v\n%+v", i, got, freeChain)
 		}
-		if got := chain(t, virtNodes[i]); !isPrefix(got, virtChain) {
+		if got := virtNodes[i].chain(0); !isPrefix(got, virtChain) {
 			t.Fatalf("virtual replica %d chain diverges from owner:\n%+v\n%+v", i, got, virtChain)
 		}
 	}

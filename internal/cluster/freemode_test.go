@@ -46,15 +46,18 @@ func freeNodeConfig(id NodeID, nodes int, stores []NodeID, shards int) Config {
 
 // startFreeCluster brings up a full free-mode cluster on loopback TCP:
 // every node both frontend and store, real stores, real RPW1 transports.
-// The returned nodes are running; callers own shutdown.
-func startFreeCluster(t testing.TB, nodes, shards int, retain bool) []*Node {
-	return startFreeClusterCfg(t, nodes, shards, retain, nil)
+// The returned nodes are running; callers own shutdown. Under a test (not
+// a benchmark, which measures the production configuration) every node
+// records its applied entries, so Node.chain can read its whole log once
+// the node is closed.
+func startFreeCluster(t testing.TB, nodes, shards int) []*Node {
+	return startFreeClusterCfg(t, nodes, shards, nil)
 }
 
 // startFreeClusterCfg is startFreeCluster with a per-node Config hook (run
 // after the test defaults, before New) for tests that tune the replication
 // window or batch timings.
-func startFreeClusterCfg(t testing.TB, nodes, shards int, retain bool, mod func(*Config)) []*Node {
+func startFreeClusterCfg(t testing.TB, nodes, shards int, mod func(*Config)) []*Node {
 	t.Helper()
 	addrs := reservePorts(t, nodes)
 	stores := make([]NodeID, nodes)
@@ -78,11 +81,13 @@ func startFreeClusterCfg(t testing.TB, nodes, shards int, retain bool, mod func(
 			})
 		}
 		cfg := freeNodeConfig(NodeID(i), nodes, stores, shards)
-		cfg.RetainLog = retain
 		if mod != nil {
 			mod(&cfg)
 		}
 		n := New(cfg, ft, reps)
+		if _, test := t.(*testing.T); test {
+			n.rec = make([][]wire.RepEntry, shards)
+		}
 		go n.Run(nil)
 		out[i] = n
 	}
@@ -93,7 +98,7 @@ func startFreeClusterCfg(t testing.TB, nodes, shards int, retain bool, mod func(
 // any front end, replicates them to a quorum, and reports consistent
 // status, stats and metrics.
 func TestFreeClusterReplicates(t *testing.T) {
-	nodes := startFreeCluster(t, 3, 2, false)
+	nodes := startFreeCluster(t, 3, 2)
 	defer func() {
 		for _, n := range nodes {
 			n.Close()
@@ -172,7 +177,7 @@ func TestFreeClusterReplicates(t *testing.T) {
 // survived — the ping probes report the peer down, a follower wins the
 // election, the front ends re-route, and every subsequent op is answered.
 func TestFreeClusterFailover(t *testing.T) {
-	nodes := startFreeCluster(t, 3, 1, false)
+	nodes := startFreeCluster(t, 3, 1)
 	closed := make([]bool, 3)
 	defer func() {
 		for i, n := range nodes {
@@ -275,7 +280,7 @@ func TestFrameByteBudgets(t *testing.T) {
 // chunks. Before byte bounding, the first oversized frame wedged its route
 // (ErrBadFrame retried identically forever) and this test hung.
 func TestFreeClusterLargePayloads(t *testing.T) {
-	nodes := startFreeCluster(t, 3, 1, false)
+	nodes := startFreeCluster(t, 3, 1)
 	defer func() {
 		for _, n := range nodes {
 			n.Close()
@@ -338,7 +343,7 @@ func TestFreeClusterLargePayloads(t *testing.T) {
 // its done channel forever.
 func TestFreeClusterCloseDuringLoad(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		nodes := startFreeCluster(t, 1, 1, false)
+		nodes := startFreeCluster(t, 1, 1)
 		n := nodes[0]
 		const callers = 8
 		done := make(chan struct{}, callers)

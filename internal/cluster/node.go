@@ -279,22 +279,17 @@ type Node struct {
 	gPendingRoutes *metrics.Gauge
 	drops          *dropCounters
 
-	// debugSkipApply makes this node's followers mark committed entries
-	// applied WITHOUT applying them to the local store — the injected
-	// stale-read-after-failover bug behind the cluster:stale-canary
-	// must-detect scenario. Never set outside tests.
-	debugSkipApply bool
-	// debugAckFullWindow makes this node, as owner, treat ANY follower ack
-	// as acknowledging its full pipelined window — the injected
-	// out-of-window-order commit bug behind the cluster:batch-canary
-	// must-detect scenario (entries commit and answer clients before a
-	// quorum holds them). Never set outside tests.
-	debugAckFullWindow bool
-	// debugGrantNoPromise makes this node grant votes WITHOUT adopting the
-	// candidate's epoch, so it keeps acking the owner it just voted out —
-	// the injected broken-promise bug behind the cluster:vote-canary
-	// must-detect scenario. Never set outside tests.
-	debugGrantNoPromise bool
+	// maxEntryOps bounds the client ops batched into one log entry: 512 in
+	// free mode, 8 in virtual mode (so scenario workloads span many entries).
+	maxEntryOps int
+	// bug is the protocol bug a canary fixture injected into this node;
+	// bugNone everywhere else.
+	bug injectedBug
+	// rec, when non-nil, records per shard every entry the replica applies,
+	// in log order — append-only, so joined with the log kept above applied
+	// it is the replica's whole chain (Node.chain). The virtual scenarios and
+	// the cross-runtime tests install it; production leaves it nil.
+	rec [][]wire.RepEntry
 
 	// Off-loop snapshot for Status, refreshed by the loop.
 	smu       sync.Mutex
@@ -304,6 +299,26 @@ type Node struct {
 	loopEnded bool          // virtual CloseOn parks on this (token-serialized)
 	loopDone  chan struct{} // free Close blocks on this
 }
+
+// injectedBug names a protocol bug the must-detect canary scenarios plant
+// in a node, each read on the one production branch it corrupts.
+type injectedBug uint8
+
+const (
+	bugNone injectedBug = iota
+	// bugSkipApply: followers mark committed entries applied WITHOUT
+	// applying them to the local store — stale reads after the follower
+	// wins a failover (cluster:stale-canary).
+	bugSkipApply
+	// bugAckFullWindow: the owner treats ANY follower ack as acknowledging
+	// its full pipelined window, so entries commit and answer clients
+	// before a quorum holds them (cluster:batch-canary).
+	bugAckFullWindow
+	// bugGrantNoPromise: a voter grants WITHOUT adopting the candidate's
+	// epoch, so it keeps acking the owner it just voted out
+	// (cluster:vote-canary).
+	bugGrantNoPromise
+)
 
 var opcodeNames = map[byte]string{
 	wire.OpcodeRepHeartbeat: "heartbeat",
@@ -326,14 +341,18 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 	_, virtual := tr.(*vEndpoint)
 	cfg = cfg.withDefaults(virtual)
 	n := &Node{
-		cfg:      cfg,
-		tr:       tr,
-		stores:   stores,
-		virtual:  virtual,
-		quorum:   cfg.quorum(),
-		routes:   map[uint64]*route{},
-		loopDone: make(chan struct{}),
-		reg:      metrics.NewRegistry(),
+		cfg:         cfg,
+		tr:          tr,
+		stores:      stores,
+		virtual:     virtual,
+		quorum:      cfg.quorum(),
+		routes:      map[uint64]*route{},
+		loopDone:    make(chan struct{}),
+		reg:         metrics.NewRegistry(),
+		maxEntryOps: 512,
+	}
+	if virtual {
+		n.maxEntryOps = 8
 	}
 	if !cfg.Store {
 		n.stores = nil
@@ -428,16 +447,8 @@ func (n *Node) Stats() service.Stats {
 	return out
 }
 
-// Entries returns a copy of one shard's retained log (virtual-mode
-// checkers read the canonical chain after the run; free-mode tests
-// must only call this after the loop has exited).
-func (n *Node) Entries(shard int) (base uint64, entries []wire.RepEntry) {
-	sr := n.shards[shard]
-	return sr.base, append([]wire.RepEntry(nil), sr.entries...)
-}
-
-// ShardState exposes one shard's replica bookkeeping for checkers (same
-// caveat as Entries).
+// ShardState exposes one shard's replica bookkeeping for checkers (free-mode
+// tests must only call this after the loop has exited).
 func (n *Node) ShardState(shard int) ShardStatus {
 	sr := n.shards[shard]
 	return ShardStatus{
@@ -655,7 +666,7 @@ func (n *Node) handle(p *sched.Proc, m *message) {
 }
 
 // tick runs the timers: heartbeats, owner retransmission, follower
-// election timeouts, front end route resends.
+// election timeouts, front end route resends (and owner-hint expiry).
 func (n *Node) tick(p *sched.Proc) {
 	if n.stopping {
 		return
@@ -703,6 +714,14 @@ func (n *Node) tick(p *sched.Proc) {
 			for _, id := range due {
 				r := n.routes[id]
 				r.sentAt = now
+				if o := n.owners[r.shard]; now-n.lastHeard[o] >= n.cfg.OwnerTimeout {
+					// The hint expires: an owner silent this long is dead or cut
+					// off, and its successor's one owner broadcast may have been
+					// lost. The next store node in preference order redirects to
+					// the owner it knows, or owns the shard by now.
+					pref := n.cfg.pref(r.shard)
+					n.owners[r.shard] = pref[(slices.Index(pref, o)+1)%len(pref)]
+				}
 				n.cRouteRetries.Inc()
 				n.sendRoute(p, id, r)
 			}
@@ -844,7 +863,7 @@ func (n *Node) applyCommitted(p *sched.Proc, sr *shardRep) {
 	for sr.applied < sr.committed {
 		e := sr.entryAt(sr.applied + 1)
 		var results []service.Result
-		if len(e.Ops) > 0 && (sr.isOwner || !n.debugSkipApply) {
+		if len(e.Ops) > 0 && (sr.isOwner || n.bug != bugSkipApply) {
 			var err error
 			if results, err = n.apply(p, sr.shard, e.Ops); err != nil {
 				// Closing or saturated: the entry stays committed, tick retries.
@@ -854,6 +873,9 @@ func (n *Node) applyCommitted(p *sched.Proc, sr *shardRep) {
 			n.cEntriesApp.Inc()
 		}
 		sr.applied = e.Seq
+		if n.rec != nil {
+			n.rec[sr.shard] = append(n.rec[sr.shard], *e)
+		}
 		if len(sr.inflight) == 0 || sr.inflight[0].seq != e.Seq {
 			continue // inherited from a previous owner: its clients retransmit
 		}
@@ -1062,7 +1084,7 @@ func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 			for _, r := range sr.pend {
 				total += len(r.ops)
 			}
-			if total < n.cfg.MaxEntryOps && n.tr.now(p)-sr.pend[0].at < n.cfg.BatchWindow {
+			if total < n.maxEntryOps && n.tr.now(p)-sr.pend[0].at < n.cfg.BatchWindow {
 				return // let the batch fill; the oldest route bounds the wait
 			}
 		}
@@ -1070,14 +1092,14 @@ func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 		total, bytes := 0, entryOverheadBytes
 		for len(sr.pend) > 0 {
 			r := sr.pend[0]
-			if len(batch) > 0 && (total+len(r.ops) > n.cfg.MaxEntryOps || bytes+r.bytes > maxEntryBytes) {
+			if len(batch) > 0 && (total+len(r.ops) > n.maxEntryOps || bytes+r.bytes > maxEntryBytes) {
 				break
 			}
 			batch = append(batch, r)
 			total += len(r.ops)
 			bytes += r.bytes
 			sr.pend = sr.pend[1:]
-			if total >= n.cfg.MaxEntryOps {
+			if total >= n.maxEntryOps {
 				break
 			}
 		}
@@ -1145,7 +1167,7 @@ func (n *Node) onAppendedAck(p *sched.Proc, from NodeID, a *wire.RepAck) {
 		return
 	}
 	af := a.Frontier
-	if n.debugAckFullWindow {
+	if n.bug == bugAckFullWindow {
 		af = sr.frontier
 	}
 	if af > sr.frontier {
@@ -1217,21 +1239,18 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 	if sr.applied == was {
 		return
 	}
-	if !n.cfg.RetainLog {
-		// The log floor passes only what this replica has applied and every
-		// live follower has committed: whichever of them wins the next
-		// election still holds all that any other is missing. (A replica
-		// silent past OwnerTimeout is not waited for and may fall behind
-		// the floor for good.)
-		now := n.tr.now(p)
-		floor := sr.applied
-		for _, f := range n.cfg.StoreNodes {
-			if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.OwnerTimeout {
-				floor = min(floor, sr.ackedCommit[f])
-			}
+	// The log floor passes only what this replica has applied and every
+	// live follower has committed: whichever of them wins the next election
+	// still holds all that any other is missing. (A replica silent past
+	// OwnerTimeout is not waited for and may fall behind the floor for good.)
+	now := n.tr.now(p)
+	floor := sr.applied
+	for _, f := range n.cfg.StoreNodes {
+		if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.OwnerTimeout {
+			floor = min(floor, sr.ackedCommit[f])
 		}
-		sr.truncate(floor)
 	}
+	sr.truncate(floor)
 	n.pump(p, sr)
 }
 
@@ -1309,9 +1328,7 @@ func (n *Node) onAppend(p *sched.Proc, m *message) {
 func (n *Node) followCommit(p *sched.Proc, sr *shardRep, commit, floor uint64) {
 	sr.committed = max(sr.committed, min(commit, sr.match))
 	n.applyCommitted(p, sr)
-	if !n.cfg.RetainLog {
-		sr.truncate(min(floor, sr.applied))
-	}
+	sr.truncate(min(floor, sr.applied))
 	n.syncView(sr)
 	sr.ackOwed = true
 }
@@ -1463,7 +1480,7 @@ func (n *Node) onVote(p *sched.Proc, m *message) {
 		return
 	}
 	sr.votedEpoch = e
-	if n.debugGrantNoPromise {
+	if n.bug == bugGrantNoPromise {
 		sr.electEpoch, sr.lastOwnerHeard = 0, n.tr.now(p)
 	} else {
 		// Also cancels our own candidacy and restarts the owner timeout.

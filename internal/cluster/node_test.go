@@ -25,12 +25,13 @@ func virtualTrio(r *sched.Run, plan NetPlan, mod func(*Config)) []*Node {
 		}, vr)
 		cfg := Config{
 			ID: NodeID(i), Nodes: 3, StoreNodes: stores, Shards: 1,
-			Frontend: true, Store: true, RetainLog: true,
+			Frontend: true, Store: true,
 		}
 		if mod != nil {
 			mod(&cfg)
 		}
 		nodes[i] = New(cfg, vn.Endpoint(NodeID(i)), []*service.Store{st})
+		nodes[i].rec = make([][]wire.RepEntry, 1)
 		r.Spawn(2+i, nodes[i].Run)
 	}
 	return nodes
@@ -85,16 +86,16 @@ func TestRedirectReroutesStaleFrontend(t *testing.T) {
 
 // TestLaggingFollowerSurvivesFailover: a follower cut off while entries
 // commit on the other two replicas must be caught up by whichever of them
-// wins the election after the owner dies — with the log floor production
-// runs (RetainLog off). Followers that cut their log at their own committed
-// frontier leave the new owner nothing to stream, and the shard never
-// reaches quorum again: node 2 stays at frontier 0 and the get starves.
+// wins the election after the owner dies. Followers that cut their log at
+// their own committed frontier leave the new owner nothing to stream, and
+// the shard never reaches quorum again: node 2 stays at frontier 0 and the
+// get starves.
 func TestLaggingFollowerSurvivesFailover(t *testing.T) {
 	r := sched.NewRun(trioProcs, &sched.RoundRobin{})
 	const ownerTimeout = 1024
 	cut := Partition{From: 0, To: ownerTimeout - 64, GroupA: []NodeID{2}}
 	nodes := virtualTrio(r, NetPlan{Partitions: []Partition{cut}}, func(c *Config) {
-		c.RetainLog, c.OwnerTimeout = false, ownerTimeout
+		c.OwnerTimeout = ownerTimeout
 	})
 	caughtUp := false
 	r.Spawn(0, func(p *sched.Proc) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Sweep-harness registration: whole cluster deployments under the
@@ -16,13 +17,16 @@ import (
 // commit, elections, suffix replacement) — as procs of one controlled sched.Run,
 // with the VirtualNet's delay, loss, duplication and partition faults all
 // drawn from the seed. Node event-loop crashes (the owner dying mid-load)
-// are CrashAt schedule decisions like any other proc crash.
+// are CrashAt schedule decisions like any other proc crash. Nodes run the
+// production configuration: logs are cut below the owner's floor exactly as
+// in a served deployment.
 //
 // After every run the checker (check.go) reconstructs the canonical
-// committed chain from the retained replica logs and judges every client
-// observation exhaustively: replay equality, cross-replica agreement, and
-// per-key linearizability over the real-time client history. Failures
-// replay bit-identically from their "cluster:<scenario>:<seed>" token
+// committed chain from each replica's applied-entry recorder, which build
+// installs, joined with its kept log, and judges every client observation
+// exhaustively: replay equality, cross-replica agreement, and per-key
+// linearizability over the real-time client history. Failures replay
+// bit-identically from their "cluster:<scenario>:<seed>" token
 // (cmd/sim -replay).
 //
 // Proc layout of every scenario's run (crash plans index into it):
@@ -144,30 +148,17 @@ type cscenario struct {
 	// crashOwner crashes the event loop of shard 0's initial owner
 	// (topo.stores[0]) after a seed-chosen number of its own steps.
 	crashOwner bool
-	// canary injects the stale-read bug (a follower acks entries without
-	// applying them) on topo.stores[1], crashes the owner so that follower
-	// wins the election, and inverts the oracle: the run passes only if a
-	// client-visible stale read was caught by the checker.
-	canary bool
-	// rawCanary injects the same bug but keeps the normal oracle, so the
-	// checker's violations surface as sweep failures (the test fixture
-	// proving the checker actually detects the bug).
-	rawCanary bool
-	// batchCanary injects the out-of-window-order commit bug (the owner
-	// treats any follower ack as acking its full pipelined window, so
-	// entries commit and answer clients before a quorum holds them) on
-	// shard 0's initial owner, and inverts the oracle like canary: runs
-	// where the premature answers became client-visible staleness pass
-	// only if the checker flagged them. rawBatchCanary injects the same
-	// bug under the normal oracle (the detection-rate test fixture).
-	batchCanary    bool
-	rawBatchCanary bool
-	// voteCanary injects the broken-promise bug (voters grant without
-	// adopting the candidate's epoch, so they keep acking the owner they
-	// voted out) on every store node and inverts the oracle like canary;
-	// rawVoteCanary is its detection-rate fixture under the normal oracle.
-	voteCanary    bool
-	rawVoteCanary bool
+	// bug injects a protocol bug where it bites: bugSkipApply on
+	// topo.stores[1] (crashOwner lets that follower win the election),
+	// bugAckFullWindow on shard 0's initial owner, bugGrantNoPromise on
+	// every store node. It inverts the oracle: a run passes only if, when
+	// the bug became a client-visible stale read, the checker flagged it
+	// (seeds where it did not manifest pass vacuously).
+	bug injectedBug
+	// raw keeps the normal oracle under bug, so the checker's violations
+	// surface as sweep failures — the fixtures proving the checker detects
+	// each bug at a healthy rate.
+	raw bool
 	// inflight/window override the virtual-mode pipelining defaults
 	// (Config.MaxInflightEntries / Config.BatchWindow) when non-zero.
 	inflight int
@@ -222,7 +213,11 @@ func clusterScenarios() []sim.Scenario {
 		},
 		{
 			// A seed-chosen store node is cut off for a window mid-run: the
-			// majority side keeps serving, the minority catches up on heal.
+			// majority side keeps serving. The owner's log floor stops
+			// waiting for a replica silent past OwnerTimeout, so a victim
+			// still cut off while entries commit heals behind the floor and
+			// stays there, probed but never caught up (no snapshot install
+			// yet) — most seeds; otherwise it catches up on heal.
 			name: "cluster:partition", budget: 131072, mode: cFair, plan: partitionPlan,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 5, maxCall: 1},
@@ -235,9 +230,10 @@ func clusterScenarios() []sim.Scenario {
 			wl:   cworkload{keys: []string{"a", "b"}, casFrac: 0.2, ops: 4, maxCall: 1},
 		},
 		{
-			// Owner crash during loss and duplication: safety only — the
-			// checker must hold whatever progress the budget allowed.
-			name: "cluster:handoff-crash", budget: 131072, mode: cSafety, crashOwner: true, plan: lossPlan,
+			// Owner crash during loss and duplication: the front end may miss
+			// the winner's one owner broadcast, and must still reach it (its
+			// hint of the dead owner expires) and answer every op.
+			name: "cluster:handoff-crash", budget: 131072, mode: cFailover, crashOwner: true, plan: lossPlan,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 4, maxCall: 1},
 		},
@@ -245,7 +241,7 @@ func clusterScenarios() []sim.Scenario {
 			// Must-detect canary: stale reads after a rigged failover MUST be
 			// flagged by the checker (negative control for the whole
 			// verification stack).
-			name: "cluster:stale-canary", budget: 131072, mode: cSafety, crashOwner: true, canary: true,
+			name: "cluster:stale-canary", budget: 131072, mode: cSafety, crashOwner: true, bug: bugSkipApply,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 10, maxCall: 1},
 		},
@@ -272,7 +268,7 @@ func clusterScenarios() []sim.Scenario {
 			// holds their entries; across a lossy network plus its own crash,
 			// the client-visible staleness MUST be flagged.
 			name: "cluster:batch-canary", budget: 131072, mode: cSafety,
-			crashOwner: true, batchCanary: true, plan: batchLossPlan, inflight: 4,
+			crashOwner: true, bug: bugAckFullWindow, plan: batchLossPlan, inflight: 4,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 2},
 		},
@@ -282,7 +278,7 @@ func clusterScenarios() []sim.Scenario {
 			// with entries the winner never held; under cuts that elect
 			// rivals of a live owner, the lost answers MUST be flagged.
 			name: "cluster:vote-canary", budget: 131072, mode: cSafety,
-			voteCanary: true, plan: flapPlan,
+			bug: bugGrantNoPromise, plan: flapPlan,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
 		},
@@ -438,16 +434,16 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 		}
 		n := New(Config{
 			ID: id, Nodes: t.nodes, StoreNodes: t.stores, Shards: t.shards,
-			Frontend: t.isFront(id), Store: t.isStore(id), RetainLog: true,
+			Frontend: t.isFront(id), Store: t.isStore(id),
 			MaxInflightEntries: sc.inflight, BatchWindow: sc.window,
 		}, vn.Endpoint(id), stores)
-		if (sc.canary || sc.rawCanary) && len(t.stores) > 1 && id == t.stores[1] {
-			n.debugSkipApply = true
+		n.rec = make([][]wire.RepEntry, t.shards)
+		switch {
+		case sc.bug == bugSkipApply && id == t.stores[1],
+			sc.bug == bugAckFullWindow && id == t.stores[0],
+			sc.bug == bugGrantNoPromise:
+			n.bug = sc.bug
 		}
-		if (sc.batchCanary || sc.rawBatchCanary) && id == t.stores[0] {
-			n.debugAckFullWindow = true
-		}
-		n.debugGrantNoPromise = sc.voteCanary || sc.rawVoteCanary
 		if sc.crashOwner && id == t.stores[0] {
 			victimStores = stores
 		}
@@ -494,7 +490,7 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 		for _, vr := range vrs {
 			viol = append(viol, vr.CheckHistory()...)
 		}
-		if sc.canary || sc.batchCanary || sc.voteCanary {
+		if sc.bug != bugNone && !sc.raw {
 			// Inverted verdict: when the injected bug produced a
 			// client-visible stale read, the checker MUST have flagged the
 			// run. (Seeds where the rigged failover did not manifest pass

@@ -18,7 +18,7 @@ func brokenClusterScenario() sim.Scenario {
 	three := []NodeID{1, 2, 3}
 	sc := cscenario{
 		name: "test/cluster-broken", budget: 131072, mode: cSafety,
-		crashOwner: true, rawCanary: true,
+		crashOwner: true, bug: bugSkipApply, raw: true,
 		topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 10, maxCall: 1},
 	}
@@ -33,7 +33,7 @@ func brokenBatchScenario() sim.Scenario {
 	three := []NodeID{1, 2, 3}
 	sc := cscenario{
 		name: "test/cluster-batch-broken", budget: 131072, mode: cSafety,
-		crashOwner: true, rawBatchCanary: true, plan: batchLossPlan, inflight: 4,
+		crashOwner: true, bug: bugAckFullWindow, raw: true, plan: batchLossPlan, inflight: 4,
 		topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
 		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 2},
 	}
@@ -45,7 +45,7 @@ func brokenBatchScenario() sim.Scenario {
 func brokenVoteScenario() sim.Scenario {
 	sc := cscenario{
 		name: "test/cluster-vote-broken", budget: 131072, mode: cSafety,
-		rawVoteCanary: true, plan: flapPlan,
+		bug: bugGrantNoPromise, raw: true, plan: flapPlan,
 		topo: ctopo{subs: 1, nodes: 4, stores: []NodeID{1, 2, 3}, fronts: []NodeID{0}, shards: 1},
 		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
 	}
@@ -272,14 +272,30 @@ func TestClusterFaultsExercised(t *testing.T) {
 	// messages during the runs they shape — and every drop must be
 	// accounted for by the sending node's cluster_frames_dropped_total
 	// counters, or the new metric family is a silent no-op.
+	//
+	// The nodes run production's log truncation: some replica must end with
+	// a cut log (base > 0) — the checker reads the recorder, not a kept
+	// log. A replica whose frontier is below another's base cannot be caught
+	// up from any log (no snapshot install yet); those runs are counted.
 	var mu sync.Mutex
 	var lost, duplicated, cut int64
 	var dropLost, dropCut int64
-	obsNet = func(_ string, vn *VirtualNet, nodes []*Node) {
+	truncated, stranded := map[string]int{}, map[string]int{}
+	obsNet = func(scenario string, vn *VirtualNet, nodes []*Node) {
 		var nl, nc int64
+		cutLog, behind := false, false
 		for _, n := range nodes {
 			nl += n.drops.value(dropNetLoss)
 			nc += n.drops.value(dropNetCut)
+			if !n.cfg.Store {
+				continue
+			}
+			for s, sr := range n.shards {
+				cutLog = cutLog || sr.base > 0
+				for _, o := range nodes {
+					behind = behind || o.cfg.Store && sr.frontier < o.shards[s].base
+				}
+			}
 		}
 		mu.Lock()
 		lost += vn.Lost
@@ -287,13 +303,27 @@ func TestClusterFaultsExercised(t *testing.T) {
 		cut += vn.Cut
 		dropLost += nl
 		dropCut += nc
+		if cutLog {
+			truncated[scenario]++
+		}
+		if behind {
+			stranded[scenario]++
+		}
 		mu.Unlock()
 	}
 	defer func() { obsNet = nil }()
-	loss, part := find("cluster:loss"), find("cluster:partition")
+	loss, part, batch := find("cluster:loss"), find("cluster:partition"), find("cluster:batch")
 	for seed := uint64(0); seed < 50; seed++ {
 		loss.Run(seed, false)
 		part.Run(seed, false)
+		batch.Run(seed, false)
+	}
+	for _, name := range []string{"cluster:batch", "cluster:partition"} {
+		if truncated[name] == 0 {
+			t.Errorf("%s never truncated a replica's log in 50 seeds", name)
+		}
+		t.Logf("%s: a log cut in %d/50 runs, a replica stranded below another's log floor in %d/50",
+			name, truncated[name], stranded[name])
 	}
 	if lost == 0 || duplicated == 0 {
 		t.Errorf("cluster:loss never lost (%d) or duplicated (%d) a message in 50 seeds", lost, duplicated)
