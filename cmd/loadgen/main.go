@@ -14,41 +14,34 @@
 // are puts), and every worker checks response sanity. Exit status is
 // non-zero on any request error or audited linearizability violation.
 //
-// With -timeout each op carries a client deadline; expired calls (and 429
-// or 504 responses) are retried up to -retries times with the same
-// client-assigned op id, which the server deduplicates — the loadgen thus
-// exercises the store's idempotent-retry contract under real packet timing.
-// -max-p999 asserts a tail-latency ceiling over every issued op (retries
-// included), the soak harness's bounded-tail gate.
+// Traffic travels over the binary protocol of docs/PROTOCOL.md (RPW1):
+// -addr is the host:port of served's -wire listener, and the workers share
+// -conns pipelined connections round-robin, so the per-connection pipeline
+// depth is workers/conns. -batch N packs N ops into each batch frame — the
+// protocol's throughput lever. A listener that accepts the connection but
+// does not answer an RPW1 ping (served's HTTP port, say) fails the run
+// within seconds instead of hanging it.
 //
-// Two transports:
-//
-//   - -proto http (default): one HTTP/JSON POST /op per operation, the
-//     compatibility front end;
-//   - -proto wire: the binary protocol of docs/PROTOCOL.md over -conns
-//     pipelined connections (workers share connections round-robin, so the
-//     per-connection pipeline depth is workers/conns). -batch N packs N ops
-//     into each batch frame — the protocol's throughput lever. -addr is then
-//     host:port of served's -wire listener, and -timeout (a client-side HTTP
-//     deadline) does not apply; saturation and deadline errors still arrive
-//     as typed wire errors and are retried the same way.
+// Saturation and server-deadline errors arrive as typed wire errors and are
+// retried up to -retries times with the same client-assigned op id, which
+// the server deduplicates — the loadgen thus exercises the store's
+// idempotent-retry contract under real packet timing. -max-p999 asserts a
+// tail-latency ceiling over every issued op (retries included), the soak
+// profile's bounded-tail gate.
 //
 // Run with:
 //
-//	go run ./cmd/loadgen -addr http://127.0.0.1:8080 -workers 8 -ops 50000
-//	go run ./cmd/loadgen -proto wire -addr 127.0.0.1:9090 -conns 2 -batch 64
+//	go run ./cmd/loadgen -addr 127.0.0.1:9090 -workers 8 -ops 50000
+//	go run ./cmd/loadgen -addr 127.0.0.1:9090 -conns 2 -batch 64
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -61,7 +54,6 @@ import (
 
 type options struct {
 	addr    string
-	proto   string
 	conns   int
 	batch   int
 	workers int
@@ -73,14 +65,13 @@ type options struct {
 	readPct int
 	casPct  int
 	seed    int64
-	timeout time.Duration
 	retries int
 	maxP999 time.Duration
 	summary string
 }
 
 // runSummary is the -summary JSON artifact: the client-side ledger a
-// downstream checker (scripts/metrics_smoke.sh) reconciles against the
+// downstream checker (scripts/smoke.sh metrics) reconciles against the
 // server's /metrics counters.
 type runSummary struct {
 	Issued    int64 `json:"issued"`
@@ -92,10 +83,9 @@ type runSummary struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "http://127.0.0.1:8080", "base URL of cmd/served (-proto wire: host:port of its -wire listener)")
-	flag.StringVar(&o.proto, "proto", "http", `transport: "http" (JSON per op) or "wire" (binary, pipelined)`)
-	flag.IntVar(&o.conns, "conns", 2, "wire connections shared round-robin by the workers (-proto wire)")
-	flag.IntVar(&o.batch, "batch", 1, "ops per wire batch frame; 1 = one op frame per op (-proto wire)")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:9090", "host:port of cmd/served's -wire listener")
+	flag.IntVar(&o.conns, "conns", 2, "wire connections shared round-robin by the workers")
+	flag.IntVar(&o.batch, "batch", 1, "ops per wire batch frame; 1 = one op frame per op")
 	flag.IntVar(&o.workers, "workers", 8, "concurrent client workers")
 	flag.Int64Var(&o.ops, "ops", 50_000, "total ops to issue (0 = run for -duration)")
 	flag.DurationVar(&o.dur, "duration", 5*time.Second, "run length when -ops is 0")
@@ -105,17 +95,10 @@ func main() {
 	flag.IntVar(&o.readPct, "read-pct", 60, "percent of ops that are gets")
 	flag.IntVar(&o.casPct, "cas-pct", 10, "percent of ops that are cas")
 	flag.Int64Var(&o.seed, "seed", 1, "base RNG seed (worker i uses seed+i)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "per-op client deadline (0 = none)")
-	flag.IntVar(&o.retries, "retries", 3, "retries with the same op id on deadline/429/504")
+	flag.IntVar(&o.retries, "retries", 3, "retries with the same op id on saturation or server deadline")
 	flag.DurationVar(&o.maxP999, "max-p999", 0, "fail if overall p999 latency exceeds this (0 = off)")
 	flag.StringVar(&o.summary, "summary", "", "write a JSON run summary to this path")
 	flag.Parse()
-	if o.proto != "http" && o.proto != "wire" {
-		log.Fatalf(`loadgen: -proto must be "http" or "wire", got %q`, o.proto)
-	}
-	if o.proto == "http" && o.batch > 1 {
-		log.Fatalf("loadgen: -batch needs -proto wire")
-	}
 	if o.conns < 1 || o.batch < 1 || o.batch > wire.MaxBatchOps {
 		log.Fatalf("loadgen: -conns must be >= 1 and -batch in [1, %d]", wire.MaxBatchOps)
 	}
@@ -129,8 +112,7 @@ func main() {
 type worker struct {
 	o         *options
 	id        int
-	client    *http.Client
-	conn      *wire.Conn // non-nil in -proto wire mode, shared with workers/conns others
+	conn      *wire.Conn // shared with workers/conns others
 	rng       *rand.Rand
 	zipf      *rand.Zipf
 	issued    int64
@@ -166,82 +148,25 @@ func (w *worker) op(i int64) service.Op {
 	}
 }
 
-// kindNames maps service.OpKind to the HTTP front end's op names.
-var kindNames = [3]string{service.OpGet: "get", service.OpPut: "put", service.OpCAS: "cas"}
-
-// jsonBody renders op as the HTTP front end's wire shape (POST /op body).
-func jsonBody(op service.Op) []byte {
-	buf, _ := json.Marshal(map[string]any{
-		"op": kindNames[op.Kind], "key": op.Key, "val": op.Val, "old": op.Old, "id": op.ID,
-	})
-	return buf
-}
-
 // retriableWire marks the wire errors (saturation, server deadline) where
 // resending the identical op — same client-assigned id — is the correct
 // reaction; wire.Error.Unwrap maps the in-band error codes back onto the
-// service's typed errors, so this is the same taxonomy attempt dispatches
-// on via HTTP status codes.
+// service's typed errors.
 func retriableWire(err error) bool {
 	return errors.Is(err, service.ErrSaturated) || errors.Is(err, service.ErrDeadline)
 }
 
-// attempt posts one request, with the worker's client deadline when
-// configured. retriable=true marks the outcomes (client deadline, 429
-// saturation, 504 server deadline) where resending the identical op — same
-// client-assigned id — is the correct reaction.
-func (w *worker) attempt(buf []byte) (res service.Result, retriable bool, err error) {
-	ctx := context.Background()
-	if w.o.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.o.timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.o.addr+"/op", bytes.NewReader(buf))
-	if err != nil {
-		return res, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return res, context.Cause(ctx) != nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusGatewayTimeout:
-		return res, true, fmt.Errorf("status %d", resp.StatusCode)
-	default:
-		return res, false, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return res, false, fmt.Errorf("decode: %w", err)
-	}
-	return res, false, nil
-}
-
 func (w *worker) issue(i int64) error {
 	op := w.op(i)
-	var buf []byte
-	if w.conn == nil {
-		buf = jsonBody(op)
-	}
 	start := time.Now()
 	var res service.Result
 	var err error
 	for try := 0; ; try++ {
-		var retriable bool
-		if w.conn != nil {
-			res, err = w.conn.Do(op)
-			retriable = err != nil && retriableWire(err)
-		} else {
-			res, retriable, err = w.attempt(buf)
-		}
-		if err == nil {
+		if res, err = w.conn.Do(op); err == nil {
 			break
 		}
-		if !retriable || try >= w.o.retries {
-			if retriable {
+		if !retriableWire(err) || try >= w.o.retries {
+			if retriableWire(err) {
 				// Out of retries on a retriable outcome: the op may or may
 				// not have committed, exactly like a crashed client. The
 				// server's audit decides if the history stayed consistent.
@@ -299,54 +224,46 @@ func (w *worker) issueBatch(ops []service.Op, results []service.Result) ([]servi
 	return results, nil
 }
 
-func run(o options) error {
-	transport := &http.Transport{
-		MaxIdleConns:        2 * o.workers,
-		MaxIdleConnsPerHost: 2 * o.workers,
-	}
-	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
+// pingTimeout bounds the reachability probe: a listener that accepts the
+// connection but never answers an RPW1 ping is not a wire server.
+const pingTimeout = 5 * time.Second
 
-	// Wait for the server to come up (CI starts it in the background), then
-	// in wire mode open the shared connection pool.
-	var conns []*wire.Conn
-	if o.proto == "wire" {
-		var err error
-		for i := 0; i < 50; i++ {
-			var c *wire.Conn
-			if c, err = wire.Dial(o.addr); err == nil {
-				conns = append(conns, c)
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
+func run(o options) error {
+	// Wait for the server to come up (CI starts it in the background), probe
+	// that it speaks RPW1, then open the rest of the shared connection pool.
+	var first *wire.Conn
+	var err error
+	for i := 0; i < 50; i++ {
+		if first, err = wire.Dial(o.addr); err == nil {
+			break
 		}
-		if len(conns) == 0 {
-			return fmt.Errorf("wire server at %s not reachable: %w", o.addr, err)
+		time.Sleep(100 * time.Millisecond)
+	}
+	if err != nil {
+		return fmt.Errorf("wire server at %s not reachable: %w", o.addr, err)
+	}
+	conns := []*wire.Conn{first}
+	defer func() {
+		for _, c := range conns {
+			c.Close()
 		}
-		for len(conns) < o.conns {
-			c, err := wire.Dial(o.addr)
-			if err != nil {
-				return fmt.Errorf("wire dial: %w", err)
-			}
-			conns = append(conns, c)
+	}()
+	ping := make(chan error, 1)
+	go func() { ping <- first.Ping() }()
+	select {
+	case err = <-ping:
+	case <-time.After(pingTimeout):
+		err = fmt.Errorf("no answer to a ping within %v", pingTimeout)
+	}
+	if err != nil {
+		return fmt.Errorf("%s does not speak RPW1: %w", o.addr, err)
+	}
+	for len(conns) < o.conns {
+		c, err := wire.Dial(o.addr)
+		if err != nil {
+			return fmt.Errorf("wire dial: %w", err)
 		}
-		defer func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}()
-	} else {
-		var up bool
-		for i := 0; i < 50; i++ {
-			if resp, err := client.Get(o.addr + "/healthz"); err == nil {
-				resp.Body.Close()
-				up = true
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if !up {
-			return fmt.Errorf("server at %s not reachable", o.addr)
-		}
+		conns = append(conns, c)
 	}
 
 	var budget atomic.Int64
@@ -379,10 +296,7 @@ func run(o options) error {
 	start := time.Now()
 	for wi := 0; wi < o.workers; wi++ {
 		rng := rand.New(rand.NewSource(o.seed + int64(wi)))
-		w := &worker{o: &o, id: wi, client: client, rng: rng}
-		if len(conns) > 0 {
-			w.conn = conns[wi%len(conns)]
-		}
+		w := &worker{o: &o, id: wi, conn: conns[wi%len(conns)], rng: rng}
 		if o.zipf > 1 && o.keys > 1 {
 			w.zipf = rand.NewZipf(rng, o.zipf, 1, uint64(o.keys-1))
 		}
@@ -489,28 +403,17 @@ func run(o options) error {
 	}
 
 	// Pull the server's audit verdict: the run only passes if every audited
-	// window of the traffic we just generated linearized. In wire mode,
-	// drain every connection first (the pipeline fence of PROTOCOL.md §3.5)
-	// so the stats snapshot is taken after our last op was answered.
+	// window of the traffic we just generated linearized. Drain every
+	// connection first (the pipeline fence of PROTOCOL.md §3.5) so the stats
+	// snapshot is taken after our last op was answered.
+	for _, c := range conns {
+		if err := c.Drain(); err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+	}
 	var stats service.Stats
-	if o.proto == "wire" {
-		for _, c := range conns {
-			if err := c.Drain(); err != nil {
-				return fmt.Errorf("drain: %w", err)
-			}
-		}
-		if err := conns[0].Stats(&stats); err != nil {
-			return fmt.Errorf("stats: %w", err)
-		}
-	} else {
-		resp, err := client.Get(o.addr + "/stats")
-		if err != nil {
-			return fmt.Errorf("stats: %w", err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			return fmt.Errorf("stats decode: %w", err)
-		}
+	if err := conns[0].Stats(&stats); err != nil {
+		return fmt.Errorf("stats: %w", err)
 	}
 	a := stats.Audit
 	fmt.Printf("loadgen: server: %d ops, %d batches (mean %.1f cmds/batch)\n",

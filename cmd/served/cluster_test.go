@@ -56,8 +56,11 @@ func TestStartClusterSingleNode(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"v1"`) {
 		t.Fatalf("get: %d %s", code, body)
 	}
-	if code, body := post(t, srv, "/batch", `[{"op":"put","key":"k2","val":"v2"},{"op":"get","key":"k2"}]`); code != http.StatusOK || !strings.Contains(body, `"v2"`) {
-		t.Fatalf("batch: %d %s", code, body)
+	if code, body := post(t, srv, "/op", `{"op":"put","key":"k2","val":"v2"}`); code != http.StatusOK {
+		t.Fatalf("put k2: %d %s", code, body)
+	}
+	if code, body := post(t, srv, "/op", `{"op":"get","key":"k2"}`); code != http.StatusOK || !strings.Contains(body, `"v2"`) {
+		t.Fatalf("get k2: %d %s", code, body)
 	}
 
 	get := func(path string) (int, string) {

@@ -1,13 +1,12 @@
-// Command served is the HTTP/JSON front end of the free-mode serving tier
-// (internal/service): a sharded key-value store whose every shard is a
-// replicated log in the style of the universal construction, continuously
-// audited for linearizability while it serves, with supervised workers that
-// are respawned after a crash.
+// Command served serves the free-mode serving tier (internal/service): a
+// sharded key-value store whose every shard is a replicated log in the
+// style of the universal construction, continuously audited for
+// linearizability while it serves, with supervised workers that are
+// respawned after a crash.
 //
 // Endpoints:
 //
 //	POST /op       {"op":"get|put|cas","key":K,"val":V,"old":O,"id":N} → {"val":..,"ok":..}
-//	POST /batch    [op, op, ...] → [result, result, ...]
 //	GET  /stats    full service.Stats JSON plus the process goroutine count
 //	GET  /metrics  Prometheus text exposition of the store's live metrics
 //	GET  /config   current runtime-reloadable tunables (service.Tunables JSON)
@@ -24,10 +23,10 @@
 // With -wire ADDR the server additionally listens for the binary wire
 // protocol (docs/PROTOCOL.md, internal/wire) on ADDR: length-prefixed
 // frames, connection multiplexing, pipelining, and batch frames that feed
-// the store's per-shard batch windows directly. The HTTP/JSON mux stays up
-// as the compatibility front end; the wire listener is the performance
-// front end (~50x the HTTP throughput, see EXPERIMENTS.md PR 8). On
-// shutdown the wire listener drains before the store closes.
+// the store's per-shard batch windows directly. It is the data path
+// cmd/loadgen drives; the HTTP mux keeps one-op POST /op for curl beside
+// the control and observability endpoints. On shutdown the wire listener
+// drains before the store closes.
 //
 // Typed serving errors map onto distinct status codes, so clients can pick
 // the right reaction:
@@ -45,7 +44,7 @@
 //
 // Run with:
 //
-//	go run ./cmd/served -addr :8080 -shards 4
+//	go run ./cmd/served -addr :8080 -wire :9090 -shards 4
 package main
 
 import (
@@ -72,14 +71,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/wire"
 )
-
-// backend is the serving surface the HTTP and wire front ends need: a
-// single-process store and a cluster front-end node both provide it.
-type backend interface {
-	Do(ctx context.Context, op service.Op) (service.Result, error)
-	DoBatch(ctx context.Context, ops []service.Op) ([]service.Result, error)
-	Stats() service.Stats
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -130,7 +121,7 @@ func main() {
 	var (
 		store *service.Store
 		node  *cluster.Node
-		be    backend
+		be    wire.Backend // a single-process store or a cluster front-end node
 	)
 	if *peers != "" {
 		var err error
@@ -343,7 +334,7 @@ func startCluster(cfg service.Config, nodeID int, peers, roles, storeNodes strin
 	return n, nil
 }
 
-// wireOp is the JSON shape of one command on /op and /batch. ID, when
+// wireOp is the JSON shape of one command on POST /op. ID, when
 // non-zero, is the client-assigned idempotency token: resubmitting an op
 // with the same id after a 504 is answered from the dedup table instead of
 // applying twice.
@@ -425,7 +416,7 @@ func newMux(store *service.Store, faults *fault.Set) *http.ServeMux {
 // in single-process mode (config reload and chaos act on one store); node
 // is non-nil only in cluster mode (role-aware health, cluster metrics).
 // faults, when non-nil, additionally exposes the /chaos arming endpoint.
-func buildMux(be backend, store *service.Store, node *cluster.Node, faults *fault.Set) *http.ServeMux {
+func buildMux(be wire.Backend, store *service.Store, node *cluster.Node, faults *fault.Set) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /op", func(w http.ResponseWriter, r *http.Request) {
 		var wire wireOp
@@ -439,28 +430,6 @@ func buildMux(be backend, store *service.Store, node *cluster.Node, faults *faul
 			return
 		}
 		res, err := be.Do(r.Context(), op)
-		if err != nil {
-			http.Error(w, err.Error(), statusOf(err))
-			return
-		}
-		writeJSON(w, res)
-	})
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		var wire []wireOp
-		if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		ops := make([]service.Op, len(wire))
-		for i, wop := range wire {
-			op, err := wop.decode()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			ops[i] = op
-		}
-		res, err := be.DoBatch(r.Context(), ops)
 		if err != nil {
 			http.Error(w, err.Error(), statusOf(err))
 			return

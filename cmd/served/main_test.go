@@ -87,16 +87,6 @@ func TestOpHandlerRejectsMalformed(t *testing.T) {
 			t.Errorf("op %q = %d, want 400", body, code)
 		}
 	}
-	for _, body := range []string{
-		`[{not json`,
-		`[{"op":"put","key":"a","val":"1"},{"op":"bump","key":"b"}]`,
-		`{"op":"put"}`, // object where array expected
-	} {
-		code, _ := post(t, srv, "/batch", body)
-		if code != http.StatusBadRequest {
-			t.Errorf("batch %q = %d, want 400", body, code)
-		}
-	}
 	// Method routing: GET on /op is not found by the method-aware mux.
 	resp, err := http.Get(srv.URL + "/op")
 	if err != nil {
@@ -106,28 +96,10 @@ func TestOpHandlerRejectsMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed && resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /op = %d, want method rejection", resp.StatusCode)
 	}
-}
-
-func TestBatchHandler(t *testing.T) {
-	srv, store := testServer(t, service.Config{Shards: 2})
-	defer store.Close()
-
-	code, body := post(t, srv, "/batch",
-		`[{"op":"put","key":"x","val":"1"},{"op":"put","key":"y","val":"2"},{"op":"get","key":"x"}]`)
-	if code != http.StatusOK {
-		t.Fatalf("batch = %d %q", code, body)
-	}
-	var res []service.Result
-	if err := json.Unmarshal([]byte(body), &res); err != nil {
-		t.Fatalf("batch response %q: %v", body, err)
-	}
-	if len(res) != 3 || !res[0].OK || !res[1].OK {
-		t.Fatalf("batch results = %+v", res)
-	}
-	// An empty batch is a valid no-op.
-	code, body = post(t, srv, "/batch", `[]`)
-	if code != http.StatusOK {
-		t.Fatalf("empty batch = %d %q", code, body)
+	// Batches travel as RPW1 batch frames only: the HTTP batch endpoint
+	// is gone.
+	if code, _ := post(t, srv, `/batch`, `[{"op":"get","key":"a"}]`); code != http.StatusMethodNotAllowed && code != http.StatusNotFound {
+		t.Fatalf("batch endpoint = %d, want 404/405", code)
 	}
 }
 
@@ -224,10 +196,6 @@ func TestStatusClosed(t *testing.T) {
 	code, body := post(t, srv, "/op", `{"op":"get","key":"a"}`)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("op on closed store = %d %q, want 503", code, body)
-	}
-	code, body = post(t, srv, "/batch", `[{"op":"get","key":"a"}]`)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("batch on closed store = %d %q, want 503", code, body)
 	}
 }
 

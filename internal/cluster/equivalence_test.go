@@ -73,9 +73,13 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	script := equivalenceScript()
 
 	// --- Free mode ---
+	// A route resent after RouteTimeout is appended a second time (dedup
+	// acts at apply), so the free side waits long enough that a loaded
+	// machine's slow first commit is not mistaken for a lost route.
 	freeNodes := startFreeClusterCfg(t, 3, 1, func(c *Config) {
 		c.MaxInflightEntries = inflight
 		c.BatchWindow = freeWindow
+		c.RouteTimeout = time.Second.Nanoseconds()
 	})
 	ctx := context.Background()
 	freeResults := make([]service.Result, 0, len(script))

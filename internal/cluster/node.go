@@ -932,9 +932,10 @@ func (n *Node) startCall(p *sched.Proc, cc *clientCall) {
 	// Per shard, a call may split into several routes: each route's ops are
 	// bounded by encoded byte size (maxRouteBytes) and count (MaxBatchOps),
 	// so the route frame, the log entry batching it, and the append frame
-	// replicating that entry are all encodable — an unbounded client batch
-	// (the HTTP /batch path has no cap) must never produce a frame the wire
-	// layer refuses, because refused frames retry identically forever.
+	// replicating that entry are all encodable — a client's RPW1 batch frame
+	// carries up to wire.MaxBatchOps ops whose payloads together can exceed
+	// maxRouteBytes, and it must never produce a frame the wire layer
+	// refuses, because refused frames retry identically forever.
 	open := make([]*route, n.cfg.Shards) // the still-filling route per shard
 	var rts []*route
 	for i, op := range cc.ops {

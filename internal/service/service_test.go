@@ -97,7 +97,7 @@ func TestDoBatch(t *testing.T) {
 
 // TestConcurrentLoad hammers the store from real goroutines (run under
 // -race) and then cross-checks the full client-observed history for
-// linearizability per key with spec.PartitionByKey — an end-to-end check
+// linearizability per key with spec.CheckPartitioned — an end-to-end check
 // that is independent of the built-in auditor.
 func TestConcurrentLoad(t *testing.T) {
 	cfg := testConfig()

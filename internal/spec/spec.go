@@ -15,10 +15,9 @@
 //
 // The search is typed: a Model names its state type S and its operation
 // type O, S is comparable and is the memo key itself, and nothing is boxed,
-// formatted or type-asserted while a history is searched. The serving
-// tier's model is CASRegisterModel over CASOp (strings and scalars);
-// RegisterModel, QueueModel and ConsensusModel specify the paper's objects
-// over the loosely typed Op and run through the same search.
+// formatted or type-asserted while a history is searched. The model this
+// repository checks is CASRegisterModel over CASOp (strings and scalars):
+// the serving tier's per-key register, audited online and offline.
 //
 // A Checker owns the search's scratch — the sorted copy of the history and
 // the memo table — and reuses it from one history to the next, so checking
@@ -51,22 +50,6 @@ type Model[S comparable, O Timed] interface {
 	// op's recorded output is legal at this point.
 	Apply(state S, op O) (S, bool)
 }
-
-// Op is one completed operation of the loosely typed models (RegisterModel,
-// QueueModel, ConsensusModel).
-type Op struct {
-	// Proc is the invoking process.
-	Proc int
-	// Call and Ret are the invocation and response times.
-	Call, Ret int64
-	// Method names the operation.
-	Method string
-	// In and Out are the input and output values.
-	In, Out any
-}
-
-// Interval implements Timed.
-func (op Op) Interval() (call, ret int64) { return op.Call, op.Ret }
 
 // node is one memo entry's key: the ops already linearized and the state
 // they led to.
@@ -161,89 +144,4 @@ func (c *Checker[S, O]) search(done uint64, state S) bool {
 	}
 	c.memo[key] = ok
 	return ok
-}
-
-// RegisterModel is the sequential specification of a read/write register.
-// Reads output the last written value; Init's value is the initial content.
-type RegisterModel struct {
-	// Initial is the register's initial value.
-	Initial any
-}
-
-var _ Model[any, Op] = RegisterModel{}
-
-// Init implements Model.
-func (m RegisterModel) Init() any { return m.Initial }
-
-// Apply implements Model. Methods: "write" (In = value) and "read"
-// (Out = value).
-func (m RegisterModel) Apply(state any, op Op) (any, bool) {
-	switch op.Method {
-	case "write":
-		return op.In, true
-	case "read":
-		return state, state == op.Out
-	default:
-		return state, false
-	}
-}
-
-// queueState is a FIFO snapshot: items[:n], head first, the rest nil so
-// that equal queues are == states. A history enqueues at most MaxWindowOps
-// items, which is what lets the state be an array and so comparable.
-type queueState struct {
-	items [MaxWindowOps]any
-	n     int
-}
-
-// QueueModel is the sequential specification of a FIFO queue with
-// non-blocking dequeue. Methods: "enq" (In = value), "deq" (Out = value or
-// nil for empty).
-type QueueModel struct{}
-
-var _ Model[queueState, Op] = QueueModel{}
-
-// Init implements Model.
-func (QueueModel) Init() queueState { return queueState{} }
-
-// Apply implements Model.
-func (QueueModel) Apply(st queueState, op Op) (queueState, bool) {
-	switch op.Method {
-	case "enq":
-		st.items[st.n] = op.In
-		st.n++
-		return st, true
-	case "deq":
-		if st.n == 0 {
-			return st, op.Out == nil
-		}
-		head := st.items[0]
-		copy(st.items[:], st.items[1:st.n])
-		st.n--
-		st.items[st.n] = nil
-		return st, head == op.Out
-	default:
-		return st, false
-	}
-}
-
-// ConsensusModel is the sequential specification of single-shot consensus:
-// the first propose fixes the decision; every propose outputs it.
-type ConsensusModel struct{}
-
-var _ Model[any, Op] = ConsensusModel{}
-
-// Init implements Model.
-func (ConsensusModel) Init() any { return nil }
-
-// Apply implements Model. Method: "propose" (In = proposal, Out = decision).
-func (ConsensusModel) Apply(state any, op Op) (any, bool) {
-	if op.Method != "propose" {
-		return state, false
-	}
-	if state == nil {
-		// First linearized propose decides its own value.
-		return op.In, op.Out == op.In
-	}
-	return state, op.Out == state
 }

@@ -3,8 +3,8 @@
 // (internal/service's online auditor) must be cut down before they reach
 // the search. Two tools make that safe and explicit:
 //
-//   - PartitionByKey splits a multi-key history into independent per-key
-//     sub-histories. For objects whose keys are independent registers (a
+//   - CheckPartitioned checks every per-key projection of a keyed history
+//     on its own. For objects whose keys are independent registers (a
 //     key-value store), the whole history is linearizable iff every per-key
 //     projection is, so partitioning loses nothing and turns one giant
 //     search into many small ones.
@@ -63,23 +63,6 @@ func (c *Checker[S, O]) CheckBounded(history []O, maxOps int) CheckResult {
 		return Linearizable
 	}
 	return Violation
-}
-
-// PartitionByKey splits history into per-key sub-histories using keyOf,
-// preserving the real-time intervals of every operation. Each sub-history
-// is sorted by Call time. For a store whose per-key objects are
-// independent, checking every partition separately is equivalent to
-// checking the whole history at once.
-func PartitionByKey(history []Op, keyOf func(Op) string) map[string][]Op {
-	out := make(map[string][]Op)
-	for _, op := range history {
-		k := keyOf(op)
-		out[k] = append(out[k], op)
-	}
-	for _, ops := range out {
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Call < ops[j].Call })
-	}
-	return out
 }
 
 // KeyedOp couples one operation with the key it addressed, the input shape

@@ -33,44 +33,17 @@ func TestCheckPartitioned(t *testing.T) {
 	}
 
 	// Oversized partitions come back Truncated, never silently skipped.
-	var big []KeyedOp[Op]
+	var big []KeyedOp[CASOp]
 	for i := 0; i < MaxWindowOps+1; i++ {
-		big = append(big, KeyedOp[Op]{Key: "k", Op: Op{Call: int64(2*i + 1), Ret: int64(2*i + 2), Method: "write", In: i}})
+		big = append(big, KeyedOp[CASOp]{Key: "k", Op: CASOp{Call: int64(2*i + 1), Ret: int64(2*i + 2), Kind: Write, Val: fmt.Sprint(i)}})
 	}
-	out := CheckPartitioned(RegisterModel{}, big, MaxWindowOps)
+	out := CheckPartitioned(model, big, MaxWindowOps)
 	if len(out) != 1 || out[0].Result != Truncated || out[0].Ops != MaxWindowOps+1 {
 		t.Fatalf("oversized partition = %+v, want Truncated", out)
 	}
 
 	if out := CheckPartitioned(model, nil, 0); len(out) != 0 {
 		t.Fatalf("empty history produced verdicts: %+v", out)
-	}
-}
-
-func TestPartitionByKey(t *testing.T) {
-	keyOf := func(op Op) string { return op.In.(string) }
-	history := []Op{
-		{Proc: 0, Call: 5, Ret: 6, Method: "read", In: "b"},
-		{Proc: 1, Call: 1, Ret: 2, Method: "read", In: "a"},
-		{Proc: 2, Call: 3, Ret: 4, Method: "read", In: "a"},
-		{Proc: 0, Call: 2, Ret: 7, Method: "read", In: "b"},
-	}
-	parts := PartitionByKey(history, keyOf)
-	if len(parts) != 2 {
-		t.Fatalf("got %d partitions, want 2", len(parts))
-	}
-	if len(parts["a"]) != 2 || len(parts["b"]) != 2 {
-		t.Fatalf("partition sizes a=%d b=%d, want 2 and 2", len(parts["a"]), len(parts["b"]))
-	}
-	// Partitions are sorted by Call.
-	if parts["a"][0].Call != 1 || parts["a"][1].Call != 3 {
-		t.Errorf("partition a not sorted by Call: %+v", parts["a"])
-	}
-	if parts["b"][0].Call != 2 || parts["b"][1].Call != 5 {
-		t.Errorf("partition b not sorted by Call: %+v", parts["b"])
-	}
-	if len(PartitionByKey(nil, keyOf)) != 0 {
-		t.Error("empty history should yield no partitions")
 	}
 }
 
