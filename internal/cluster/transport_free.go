@@ -232,8 +232,7 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	var wmu sync.Mutex
-	var hdr [wire.HeaderSize]byte
+	var hdr, pong [wire.HeaderSize]byte
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
 			return
@@ -254,12 +253,7 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 		}
 		switch {
 		case h.Opcode == wire.OpcodePing && !h.IsResp():
-			wmu.Lock()
-			frame := wire.AppendEmptyFrame(wire.GetBuffer(), wire.OpcodePing, wire.FlagResp, h.ReqID)
-			_, err := c.Write(frame)
-			wire.PutBuffer(frame)
-			wmu.Unlock()
-			if err != nil {
+			if _, err := c.Write(wire.AppendEmptyFrame(pong[:0], wire.OpcodePing, wire.FlagResp, h.ReqID)); err != nil {
 				return
 			}
 		case wire.IsRepOpcode(h.Opcode):

@@ -61,17 +61,21 @@ func TestFreeModeAtomicRegister(t *testing.T) {
 		}
 	})
 
-	// Zero value holds the zero value of T.
-	var zero AtomicRegister[string]
+	// Zero value holds 0, and every value of T round-trips, signed or not.
+	var zero AtomicRegister[int8]
 	p := sched.FreeProc(0)
-	if got := zero.Read(p); got != "" {
-		t.Errorf("zero-value read = %q, want empty", got)
+	if got := zero.Read(p); got != 0 {
+		t.Errorf("zero-value read = %d, want 0", got)
 	}
-	if got := zero.Swap(p, "x"); got != "" {
-		t.Errorf("zero-value swap returned %q, want empty", got)
+	if got := zero.Swap(p, -128); got != 0 {
+		t.Errorf("zero-value swap returned %d, want 0", got)
 	}
-	if got := zero.Read(p); got != "x" {
-		t.Errorf("read after swap = %q, want x", got)
+	if got := zero.Read(p); got != -128 {
+		t.Errorf("read after swap = %d, want -128", got)
+	}
+	big := NewAtomicRegister("big", uint64(1<<64-1))
+	if got := big.Read(p); got != 1<<64-1 {
+		t.Errorf("uint64 read = %d, want %d", got, uint64(1<<64-1))
 	}
 }
 

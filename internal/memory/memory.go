@@ -310,25 +310,31 @@ func (c *CAS[T]) Swap(p *sched.Proc, v T) T {
 	return out
 }
 
-// AtomicRegister is a mutex-free atomic multi-writer multi-reader register:
-// the free-mode fast path for value registers. Where Register serializes
-// with a mutex (free in controlled runs, a few instructions in free mode),
-// AtomicRegister keeps reads wait-free at the hardware level — a single
-// atomic pointer load, no lock acquisition, no writer can block a reader —
-// at the cost of boxing each written value behind a pointer (one allocation
-// per Write, zero per Read).
+// AtomicRegister is a mutex-free atomic multi-writer multi-reader register
+// over an integer type: the free-mode fast path for value registers. Where
+// Register serializes with a mutex (free in controlled runs, a few
+// instructions in free mode), AtomicRegister keeps every access wait-free at
+// the hardware level — a single 64-bit atomic load, store or swap, no lock
+// acquisition, no writer can block a reader — and never allocates.
 //
-// Use it for read-mostly shared state on real-goroutine (free mode) hot
-// paths: published positions, snapshots, configuration. In controlled runs
-// it behaves identically to Register (the scheduler serializes accesses
-// either way). The zero value holds the zero value of T.
-type AtomicRegister[T any] struct {
+// Use it for read-mostly shared counters and positions on real-goroutine
+// (free mode) hot paths. In controlled runs it behaves identically to
+// Register (the scheduler serializes accesses either way). The zero value
+// holds 0.
+type AtomicRegister[T integer] struct {
 	name string
-	v    atomic.Pointer[T]
+	v    atomic.Uint64
+}
+
+// integer is the set of types an AtomicRegister holds: every one converts
+// to uint64 and back without loss.
+type integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 |
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
 }
 
 // NewAtomicRegister returns a register initialized to init.
-func NewAtomicRegister[T any](name string, init T) *AtomicRegister[T] {
+func NewAtomicRegister[T integer](name string, init T) *AtomicRegister[T] {
 	r := &AtomicRegister[T]{}
 	r.Init(name, init)
 	return r
@@ -338,17 +344,14 @@ func NewAtomicRegister[T any](name string, init T) *AtomicRegister[T] {
 // event annotation.
 func (r *AtomicRegister[T]) Init(name string, init T) {
 	r.name = name
-	r.v.Store(&init)
+	r.v.Store(uint64(init))
 }
 
 // Read returns the current value. It is one atomic step and is lock-free
 // even under concurrent writers.
 func (r *AtomicRegister[T]) Read(p *sched.Proc) T {
 	p.Step()
-	var out T
-	if ptr := r.v.Load(); ptr != nil {
-		out = *ptr
-	}
+	out := T(r.v.Load())
 	if p.Tracing() {
 		p.Record("read", r.name, out)
 	}
@@ -358,7 +361,7 @@ func (r *AtomicRegister[T]) Read(p *sched.Proc) T {
 // Write stores v. It is one atomic step.
 func (r *AtomicRegister[T]) Write(p *sched.Proc, v T) {
 	p.Step()
-	r.v.Store(&v)
+	r.v.Store(uint64(v))
 	if p.Tracing() {
 		p.Record("write", r.name, v)
 	}
@@ -367,10 +370,7 @@ func (r *AtomicRegister[T]) Write(p *sched.Proc, v T) {
 // Swap atomically replaces the value and returns the previous one.
 func (r *AtomicRegister[T]) Swap(p *sched.Proc, v T) T {
 	p.Step()
-	var out T
-	if ptr := r.v.Swap(&v); ptr != nil {
-		out = *ptr
-	}
+	out := T(r.v.Swap(uint64(v)))
 	if p.Tracing() {
 		p.Record("swap", r.name, out)
 	}

@@ -159,20 +159,24 @@ func BenchmarkServiceSweep(b *testing.B) {
 // TestDoBatchAllocBudget pins what a client call allocates on the free
 // runtime: one submission per call, not a request and a channel per op.
 // testing.AllocsPerRun counts the whole process, so each figure includes the
-// workers' share — per grant window a batch, its request list and a log cell
-// — and it runs on one P, so the submitter enqueues a whole call before a
-// worker drains it and the windows are full ones. The single-op constants
-// are the counts measured at the commit before submissions (10 and 8): a
-// 1-op DoBatch is what every cluster replica applies per committed entry,
-// and Do is the wire path, neither of which this may make dearer.
+// workers' share — per grant window one batch, which holds a small window's
+// request list inline, plus a log cell amortised over a chunk — and it runs
+// on one P, so the submitter enqueues a whole call before a worker drains it
+// and the windows are full ones. A 1-op DoBatch is what every cluster
+// replica applies per committed entry, and Do is the wire path.
+//
+// The single-op budgets are the counts measured once a grant window became
+// one allocation and the published position stopped boxing: 4 and 3, the
+// submission, its channel and the batch, plus the result slice DoBatch
+// returns. They were 10 and 8 at the commit before submissions, and 7 and 6
+// after it.
 //
 // The audit-on rows are the configuration production runs: the same calls,
 // mixed get/put/cas, with every op recorded, windowed and checked. The
 // auditor's share is in the count too, and in steady state it is nothing —
 // the record is typed end to end and the checker reuses its scratch — so
-// those budgets are the figures measured at the commit that stopped boxing
-// the record: 24 (pinned at 32 = 0.125 per op), 7 and 6, the audit-off
-// counts exactly. Its parent read 430, 8 and 7. On AllocsPerRun's one P the
+// the audit-on counts equal the audit-off ones. Before the record stopped
+// being boxed they read 430, 8 and 7. On AllocsPerRun's one P the
 // auditor proc can starve, and a record dropped by a full mailbox is a gap
 // that parks its successors in a map; the audit-on mailbox therefore holds
 // the whole run, and the count does not depend on the scheduler.
@@ -195,8 +199,8 @@ func TestDoBatchAllocBudget(t *testing.T) {
 		ops     []Op
 		budgets [3]float64
 	}{
-		{"audit off", AuditConfig{Disabled: true}, puts, [3]float64{0.25 * 256, 10, 8}},
-		{"audit on", AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{0.125 * 256, 7, 6}},
+		{"audit off", AuditConfig{Disabled: true}, puts, [3]float64{0.25 * 256, 4, 3}},
+		{"audit on", AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{0.125 * 256, 4, 3}},
 	} {
 		s := New(Config{Shards: 1, Audit: cfg.audit})
 		ops := cfg.ops

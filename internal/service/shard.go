@@ -121,12 +121,22 @@ func newKVState() kvState {
 type batch struct {
 	owner *slot
 	reqs  []*request
+	// inline backs reqs for a small window, so committing one is a single
+	// allocation.
+	inline [inlineReqs]*request
 	// recorded marks the batch captured by the history recorder at its
 	// first apply (virtual runtime only; written under the step token).
 	recorded bool
 	decided  bool
 	counted  bool
 }
+
+// inlineReqs is the largest grant window whose request list lives inside
+// its batch.
+const inlineReqs = 4
+
+// cellChunk is how many log cells newShard allocates at once.
+const cellChunk = 64
 
 // shard is one independent replicated log plus its submitter slots.
 type shard struct {
@@ -150,12 +160,24 @@ func newShard(s *Store, id int) *shard {
 	// +inf), the wait-free base object the universal construction assumes.
 	// A cell's name is read only by a controlled run's trace, so the free
 	// runtime shares one per shard instead of formatting one per commit.
+	// Cells come from chunks of cellChunk: the log calls this under its own
+	// lock, which guards chunk. A chunk stays reachable, and with it the
+	// batches its truncated cells decided, until the log has truncated
+	// every one of its cells.
 	shared := fmt.Sprintf("shard%d/cell", id)
+	var chunk []memory.Once[*batch]
 	sh.log = universal.NewLog[*batch](func(i int) universal.Proposer[*batch] {
-		if s.rec == nil {
-			return memory.NewOnce[*batch](shared)
+		if len(chunk) == 0 {
+			chunk = make([]memory.Once[*batch], cellChunk)
 		}
-		return memory.NewOnce[*batch](fmt.Sprintf("shard%d/cell%d", id, i))
+		cell := &chunk[0]
+		chunk = chunk[1:]
+		if s.rec == nil {
+			cell.Init(shared)
+		} else {
+			cell.Init(fmt.Sprintf("shard%d/cell%d", id, i))
+		}
+		return cell
 	})
 	for wi := 0; wi < s.cfg.WorkersPerShard; wi++ {
 		sl := &slot{sh: sh, idx: wi, gid: sh.id*s.cfg.WorkersPerShard + wi}
@@ -367,7 +389,8 @@ func (sl *slot) catchUp(p *sched.Proc) {
 // it needs to finish without double-deciding or double-counting.
 func (sl *slot) commit(p *sched.Proc, reqs []*request) {
 	st := sl.sh.store
-	b := &batch{owner: sl, reqs: append([]*request(nil), reqs...)}
+	b := &batch{owner: sl}
+	b.reqs = append(b.inline[:0], reqs...) // a window past inlineReqs moves out
 	sl.inflight = b
 	st.firePoint(p, FaultWorkerPreCommit)
 	sl.rep.Exec(p, b)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,8 +160,8 @@ func TestWireCodecZeroAllocs(t *testing.T) {
 
 // BenchmarkWireLoopback measures end-to-end serving throughput over the
 // wire protocol on loopback TCP: pipelined client goroutines issuing
-// batch frames against a live store. ops/s here is the number the
-// HTTP/JSON front end pays ~100x for; see EXPERIMENTS.md PR 8.
+// batch frames against a live store, the wire's batch rung (the one-op
+// rung is BenchmarkWireOneOp).
 func BenchmarkWireLoopback(b *testing.B) {
 	for _, cfg := range []struct{ pipeline, batch int }{{4, 64}, {4, 256}} {
 		b.Run(fmt.Sprintf("pipe=%d/batch=%d", cfg.pipeline, cfg.batch), func(b *testing.B) {
@@ -225,4 +226,150 @@ func benchLoopback(b *testing.B, pipeline, batch int) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 	b.ReportMetric(float64(per*pipeline)/elapsed.Seconds(), "ops/s")
+}
+
+// servedConfig is cmd/served's default store configuration, audit on, with
+// an audit mailbox that holds a whole measurement: on AllocsPerRun's one P
+// the auditor proc can starve, and a record dropped by a full mailbox is a
+// gap that parks its successors in a map (see TestDoBatchAllocBudget).
+func servedConfig() service.Config {
+	return service.Config{
+		Shards:          4,
+		WorkersPerShard: 2,
+		QueueDepth:      1024,
+		MaxBatch:        64,
+		Audit:           service.AuditConfig{WindowOps: 16, SampleFraction: 1, QueueDepth: 1 << 16},
+		Supervise:       service.SuperviseConfig{Enabled: true, MaxRestarts: 8},
+	}
+}
+
+// startOneOp boots a wire server on loopback over a store with served's
+// configuration and dials conns connections to it. Cleanup shuts both down.
+func startOneOp(tb testing.TB, conns int) (*service.Store, []*Conn) {
+	tb.Helper()
+	store := service.New(servedConfig())
+	srv := NewServer(store, ServerConfig{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(lis)
+	cs := make([]*Conn, conns)
+	for i := range cs {
+		if cs[i], err = Dial(lis.Addr().String()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tb.Cleanup(func() {
+		for _, c := range cs {
+			c.Close()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		store.Close()
+	})
+	return store, cs
+}
+
+// oneOpKeys is the key space of the one-op rung: small enough that every
+// key's audit window fills during warm-up.
+var oneOpKeys = func() []string {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+	}
+	return keys
+}()
+
+// oneOp is the i-th op of the one-op rung: a get, put or cas on a key.
+func oneOp(i int) service.Op {
+	key := oneOpKeys[i%len(oneOpKeys)]
+	switch i % 10 {
+	case 0, 1, 2, 3, 4, 5:
+		return service.Op{Kind: service.OpGet, Key: key}
+	case 6:
+		return service.Op{Kind: service.OpCAS, Key: key, Old: "v", Val: "w"}
+	default:
+		return service.Op{Kind: service.OpPut, Key: key, Val: "v"}
+	}
+}
+
+// BenchmarkWireOneOp is the one-op round trip the wire-single workload
+// drives: 2 connections, one op frame per call, served's store
+// configuration. Its alloc profile attributes the round trip's garbage by
+// site:
+//
+//	go test -run x -bench WireOneOp -benchmem -memprofile m.out ./internal/wire/
+//	go tool pprof -sample_index=alloc_objects -top m.out
+func BenchmarkWireOneOp(b *testing.B) {
+	_, conns := startOneOp(b, 2)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, c := range conns {
+		wg.Add(1)
+		go func(c *Conn) {
+			defer wg.Done()
+			for i := int(next.Add(1)); i <= b.N; i = int(next.Add(1)) {
+				if _, err := c.Do(oneOp(i)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestWireRoundTripAllocBudget pins what one round trip allocates, client,
+// server and store together, in the configuration cmd/served runs. Do is
+// the client's response payload, the server's op payload, the store's
+// submission and its channel, and the grant window's batch; a 1-op DoBatch
+// adds the server's decoded op slice and the store's result slice. The
+// budgets are the counts measured when the round trip stopped allocating
+// its call, its handler goroutine, its encode buffers and its log cell; its
+// parent read 13 and 15.
+func TestWireRoundTripAllocBudget(t *testing.T) {
+	store, conns := startOneOp(t, 1)
+	c := conns[0]
+	results := make([]service.Result, 0, 1)
+	var i int
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		call   func()
+	}{
+		{"Do", 5, func() {
+			i++
+			if _, err := c.Do(oneOp(i)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"1-op DoBatch", 7, func() {
+			i++
+			var err error
+			if results, err = c.DoBatch([]service.Op{oneOp(i)}, results[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		// Materialise every key and fill every key's audit window, and let
+		// the auditor take them, so the count is the steady state.
+		for n := 0; n < 16*len(oneOpKeys); n++ {
+			tc.call()
+		}
+		for store.Stats().Audit.WindowsChecked < int64(len(oneOpKeys)) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := testing.AllocsPerRun(500, tc.call); got > tc.budget {
+			t.Errorf("%s allocates %.2f objects per round trip, budget %.0f", tc.name, got, tc.budget)
+		} else {
+			t.Logf("%s: %.2f objects per round trip (budget %.0f)", tc.name, got, tc.budget)
+		}
+	}
+	if st := store.Stats().Audit; st.Violations != 0 {
+		t.Errorf("audit %+v, want no violation", st)
+	}
 }

@@ -20,18 +20,32 @@ var ErrConnClosed = errors.New("wire: connection closed")
 // connection-local request ID, and a single reader goroutine correlates
 // the (possibly reordered) responses back to their callers. N goroutines
 // sharing one Conn give a pipeline depth of N with no further ceremony.
+//
+// A call costs no garbage of its own: requests are encoded into one buffer
+// under wmu, and call records are recycled through free once answered.
 type Conn struct {
 	c net.Conn
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes and guards wbuf
+	wbuf []byte     // request encode buffer, reused by every call
 
 	pmu     sync.Mutex
 	nextID  uint64
 	pending map[uint64]*call
-	readErr error // set once the reader exits; nil until then
+	free    []*call // answered calls, ready for reuse
+	readErr error   // set once the reader exits; nil until then
 }
 
-// call is one in-flight request awaiting its response frame.
+// maxKeptBuf bounds the encode buffer a Conn keeps between calls: one
+// oversized batch frame is left to the garbage collector.
+const maxKeptBuf = 64 << 10
+
+// call is one in-flight request awaiting its response frame. Whoever takes
+// it out of pending — the reader with the response, or the reader failing
+// every pending call as it exits — signals done exactly once; done is
+// buffered, so the signal never blocks and a call is reusable once its
+// caller has read it. A call abandoned after a failed write may still be
+// signalled late, so it is never reused.
 type call struct {
 	done    chan struct{}
 	res     service.Result
@@ -60,100 +74,114 @@ func NewConn(nc net.Conn) *Conn {
 	return c
 }
 
-// register allocates a request ID and parks a call under it. results, when
-// non-nil, is the caller's slice for a batch response's decoded results.
+// register takes a call record (a recycled one when available) and parks
+// it under a fresh request ID. results, when non-nil, is the caller's slice
+// for a batch response's decoded results.
 func (c *Conn) register(results []service.Result) (uint64, *call, error) {
-	cl := &call{done: make(chan struct{}), results: results}
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	if c.readErr != nil {
 		return 0, nil, c.readErr
 	}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
+	cl.results = results
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = cl
 	return id, cl, nil
 }
 
-func (c *Conn) abandon(id uint64) {
+// release returns an answered call for reuse.
+func (c *Conn) release(cl *call) {
+	*cl = call{done: cl.done}
 	c.pmu.Lock()
-	delete(c.pending, id)
+	c.free = append(c.free, cl)
 	c.pmu.Unlock()
 }
 
-// write sends one encoded frame; the buffer is recycled here.
-func (c *Conn) write(frame []byte) error {
+// roundTrip registers a call, encodes its request frame with encode into
+// the connection's buffer, writes it and blocks for the response, which it
+// returns as a copy of the answered call before releasing the record. A
+// call whose write failed is abandoned for good instead: its ID leaves
+// pending, so a late response to it is dropped, and the record is never
+// reused, because the reader may have signalled it in the meantime.
+func (c *Conn) roundTrip(results []service.Result, encode func(dst []byte, id uint64) []byte) (call, error) {
+	id, cl, err := c.register(results)
+	if err != nil {
+		return call{}, err
+	}
 	c.wmu.Lock()
-	_, err := c.c.Write(frame)
+	c.wbuf = encode(c.wbuf[:0], id)
+	_, err = c.c.Write(c.wbuf)
+	if cap(c.wbuf) > maxKeptBuf {
+		c.wbuf = nil
+	}
 	c.wmu.Unlock()
-	PutBuffer(frame)
-	return err
-}
-
-// roundTrip sends the frame for (id, cl) and blocks for the response.
-func (c *Conn) roundTrip(id uint64, cl *call, frame []byte) error {
-	if err := c.write(frame); err != nil {
-		c.abandon(id)
-		return err
+	if err != nil {
+		c.pmu.Lock()
+		delete(c.pending, id)
+		c.pmu.Unlock()
+		return call{}, err
 	}
 	<-cl.done
-	return cl.err
+	out := *cl
+	c.release(cl)
+	return out, out.err
 }
 
 // Do issues one command and blocks for its result. The result's Val is an
 // owned string (the response buffer is never recycled), so callers may
 // retain it freely.
 func (c *Conn) Do(op service.Op) (service.Result, error) {
-	id, cl, err := c.register(nil)
-	if err != nil {
-		return service.Result{}, err
+	if !opSizeOK(op) {
+		return service.Result{}, ErrBadFrame
 	}
-	frame, err := AppendOpFrame(GetBuffer(), id, op)
-	if err != nil {
-		c.abandon(id)
-		PutBuffer(frame)
-		return service.Result{}, err
-	}
-	if err := c.roundTrip(id, cl, frame); err != nil {
-		return service.Result{}, err
-	}
-	return cl.res, nil
+	a, err := c.roundTrip(nil, func(dst []byte, id uint64) []byte {
+		dst, _ = AppendOpFrame(dst, id, op)
+		return dst
+	})
+	return a.res, err
 }
 
 // DoBatch issues ops as one batch frame and blocks for the index-aligned
 // results, appended into results (pass a reused slice to amortize).
 func (c *Conn) DoBatch(ops []service.Op, results []service.Result) ([]service.Result, error) {
-	id, cl, err := c.register(results)
+	if !batchSizeOK(ops) {
+		return results, ErrBadFrame
+	}
+	a, err := c.roundTrip(results, func(dst []byte, id uint64) []byte {
+		dst, _ = AppendBatchFrame(dst, id, ops)
+		return dst
+	})
 	if err != nil {
 		return results, err
 	}
-	frame, err := AppendBatchFrame(GetBuffer(), id, ops)
-	if err != nil {
-		c.abandon(id)
-		PutBuffer(frame)
-		return results, err
-	}
-	if err := c.roundTrip(id, cl, frame); err != nil {
-		return results, err
-	}
-	if len(cl.results)-len(results) != len(ops) {
+	if len(a.results)-len(results) != len(ops) {
 		return results, fmt.Errorf("wire: batch answered %d results for %d ops",
-			len(cl.results)-len(results), len(ops))
+			len(a.results)-len(results), len(ops))
 	}
-	return cl.results, nil
+	return a.results, nil
 }
 
 // Stats fetches the server's stats snapshot, JSON-decoded into v
 // (typically a *service.Stats).
 func (c *Conn) Stats(v any) error {
-	id, cl, err := c.register(nil)
+	a, err := c.roundTrip(nil, emptyFrame(OpcodeStats))
 	if err != nil {
 		return err
 	}
-	if err := c.roundTrip(id, cl, AppendEmptyFrame(GetBuffer(), OpcodeStats, 0, id)); err != nil {
-		return err
-	}
-	return json.Unmarshal(cl.raw, v)
+	return json.Unmarshal(a.raw, v)
+}
+
+// emptyFrame returns the encoder of a payload-less request frame.
+func emptyFrame(opcode byte) func([]byte, uint64) []byte {
+	return func(dst []byte, id uint64) []byte { return AppendEmptyFrame(dst, opcode, 0, id) }
 }
 
 // Ping issues the no-op round trip (docs/PROTOCOL.md §3.7) and blocks for
@@ -162,30 +190,8 @@ func (c *Conn) Stats(v any) error {
 // each peer connection on a timer to detect dead nodes faster than TCP
 // would.
 func (c *Conn) Ping() error {
-	id, cl, err := c.register(nil)
-	if err != nil {
-		return err
-	}
-	return c.roundTrip(id, cl, AppendEmptyFrame(GetBuffer(), OpcodePing, 0, id))
-}
-
-// SendRep encodes and sends one one-way replication frame (docs/PROTOCOL.md
-// §5) and returns as soon as the bytes are written: replication frames have
-// no responses, so there is nothing to wait for. Delivery is best-effort —
-// the cluster protocol retransmits on its own timers.
-func (c *Conn) SendRep(opcode byte, r *Rep) error {
-	c.pmu.Lock()
-	err := c.readErr
-	c.pmu.Unlock()
-	if err != nil {
-		return err
-	}
-	frame, err := AppendRepFrame(GetBuffer(), opcode, r)
-	if err != nil {
-		PutBuffer(frame)
-		return err
-	}
-	return c.write(frame)
+	_, err := c.roundTrip(nil, emptyFrame(OpcodePing))
+	return err
 }
 
 // WriteFrames writes a pre-encoded sequence of complete frames as one
@@ -210,11 +216,8 @@ func (c *Conn) WriteFrames(buf []byte) error {
 // answered (docs/PROTOCOL.md §3.5). Call it before Close for a clean
 // shutdown.
 func (c *Conn) Drain() error {
-	id, cl, err := c.register(nil)
-	if err != nil {
-		return err
-	}
-	return c.roundTrip(id, cl, AppendEmptyFrame(GetBuffer(), OpcodeDrain, 0, id))
+	_, err := c.roundTrip(nil, emptyFrame(OpcodeDrain))
+	return err
 }
 
 // Close tears the connection down; in-flight calls fail.
@@ -233,7 +236,7 @@ func (c *Conn) readLoop() {
 	for id, cl := range c.pending {
 		delete(c.pending, id)
 		cl.err = err
-		close(cl.done)
+		cl.done <- struct{}{}
 	}
 	c.pmu.Unlock()
 }
@@ -269,7 +272,7 @@ func (c *Conn) read() error {
 			continue
 		}
 		cl.err = c.complete(h, payload, cl)
-		close(cl.done)
+		cl.done <- struct{}{}
 	}
 }
 

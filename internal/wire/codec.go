@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"sync"
 	"unsafe"
 
 	"repro/internal/service"
@@ -48,26 +47,6 @@ func getU64(b []byte) uint64 {
 	return v
 }
 
-// bufPool recycles frame-encode buffers. Decode-side payload buffers are
-// deliberately NOT pooled when their decoded strings may be retained (see
-// DecodeOp's aliasing contract): the server reads each op/batch payload
-// into a fresh buffer that the garbage collector reclaims only once the
-// state machine no longer references any string sliced out of it.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// GetBuffer returns a pooled length-zero encode buffer.
-func GetBuffer() []byte { return (*(bufPool.Get().(*[]byte)))[:0] }
-
-// PutBuffer recycles an encode buffer obtained from GetBuffer. The caller
-// must no longer hold any slice or aliased string into it.
-func PutBuffer(b []byte) {
-	if cap(b) > MaxPayload+HeaderSize {
-		return // oversized one-off: let the GC have it, keep the pool small
-	}
-	b = b[:0]
-	bufPool.Put(&b)
-}
-
 // aliasString returns a string sharing b's storage: the zero-copy half of
 // the decode path. The result is valid exactly as long as b's bytes are
 // neither mutated nor recycled.
@@ -107,12 +86,26 @@ func opSizeOK(op service.Op) bool {
 	return len(op.Key) <= MaxStr && len(op.Val) <= MaxStr && len(op.Old) <= MaxStr
 }
 
+// batchSizeOK reports whether ops fit a batch frame: at most MaxBatchOps
+// ops, each of whose strings fit the u16 length prefixes.
+func batchSizeOK(ops []service.Op) bool {
+	if len(ops) > MaxBatchOps {
+		return false
+	}
+	for _, op := range ops {
+		if !opSizeOK(op) {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendOp appends one encoded command (docs/PROTOCOL.md §3.2):
 //
 //	kind(1) id(8) key(2+n) val(2+n) old(2+n)
 //
 // Strings longer than MaxStr are silently truncated by the u16 prefix;
-// callers on the client path validate with ErrBadFrame via EncodeOpFrame.
+// AppendOpFrame validates first and fails with ErrBadFrame instead.
 func AppendOp(dst []byte, op service.Op) []byte {
 	var fix [9]byte
 	fix[0] = byte(op.Kind)
@@ -314,13 +307,8 @@ func AppendOpFrame(dst []byte, reqid uint64, op service.Op) ([]byte, error) {
 
 // AppendBatchFrame appends a complete batch request frame.
 func AppendBatchFrame(dst []byte, reqid uint64, ops []service.Op) ([]byte, error) {
-	if len(ops) > MaxBatchOps {
+	if !batchSizeOK(ops) {
 		return dst, ErrBadFrame
-	}
-	for _, op := range ops {
-		if !opSizeOK(op) {
-			return dst, ErrBadFrame
-		}
 	}
 	dst, start := beginFrame(dst, OpcodeBatch, 0, reqid)
 	dst = AppendBatch(dst, ops)

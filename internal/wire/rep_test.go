@@ -142,7 +142,7 @@ func TestRepRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, r := range cases {
-		frame, err := AppendRepFrame(GetBuffer(), OpcodeRepHeartbeat, &r)
+		frame, err := AppendRepFrame(nil, OpcodeRepHeartbeat, &r)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -155,7 +155,6 @@ func TestRepRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		assertRepEqual(t, back, r)
-		PutBuffer(frame)
 	}
 }
 

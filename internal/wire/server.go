@@ -162,25 +162,76 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // serverConn is one accepted connection: a reader loop that decodes and
-// dispatches frames, per-frame handler goroutines, and a writer loop that
-// serializes response frames (batching flushes while the response channel
-// has backlog).
+// dispatches frames, handler goroutines that run them against the backend,
+// and a writer loop that encodes the answers (batching flushes while the
+// response channel has backlog).
+//
+// Handlers are reused: one that has answered parks on jobs for the next
+// frame, and the reader spawns a new one only when none is parked, so the
+// pipeline depth a client sees is the depth it offers. Idle handlers live
+// as long as the connection.
 type serverConn struct {
-	s   *Server
-	c   net.Conn
-	out chan []byte // encoded response frames, buffers from GetBuffer
+	s    *Server
+	c    net.Conn
+	out  chan response // answers, encoded by the writer
+	jobs chan job      // unbuffered: a send lands only in a parked handler
 
 	// inflight tracks dispatched-but-unanswered request frames; only the
 	// reader Adds, so the reader may Wait to implement the drain fence.
 	inflight sync.WaitGroup
+	// handlers tracks handler goroutines, parked or busy.
+	handlers sync.WaitGroup
 	// writeFailed marks the writer dead (it keeps draining out so handlers
 	// never block, but discards).
 	writeFailed atomic.Bool
 }
 
+// job is one dispatched request frame: an op, a batch or a stats request.
+type job struct {
+	opcode byte
+	reqid  uint64
+	op     service.Op
+	ops    []service.Op
+}
+
+// response is one answer on its way to the writer, which encodes it
+// straight into its bufio.Writer.
+type response struct {
+	opcode  byte
+	reqid   uint64
+	code    byte // non-zero: an error response carrying msg
+	msg     string
+	res     service.Result
+	results []service.Result
+	raw     []byte // the stats document
+}
+
+func errResponse(opcode byte, reqid uint64, code byte, msg string) response {
+	return response{opcode: opcode, reqid: reqid, code: code, msg: msg}
+}
+
+// appendFrame encodes r as one response frame.
+func (r *response) appendFrame(dst []byte) []byte {
+	switch {
+	case r.code != 0:
+		return AppendErrorFrame(dst, r.opcode, r.reqid, r.code, r.msg)
+	case r.opcode == OpcodeOp:
+		return AppendResultFrame(dst, r.reqid, r.res)
+	case r.opcode == OpcodeBatch:
+		return AppendResultsFrame(dst, r.reqid, r.results)
+	case r.opcode == OpcodeStats:
+		return AppendRawFrame(dst, OpcodeStats, FlagResp, r.reqid, r.raw)
+	default: // ping and drain answers carry no payload
+		return AppendEmptyFrame(dst, r.opcode, FlagResp, r.reqid)
+	}
+}
+
 func (sc *serverConn) serve() {
 	defer sc.c.Close()
-	sc.out = make(chan []byte, 64)
+	// The writer flushes only when it finds out empty, so a backlog of up
+	// to 64 answers shares one flush instead of making handlers wait.
+	sc.out = make(chan response, 64)
+	sc.jobs = make(chan job)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -188,10 +239,13 @@ func (sc *serverConn) serve() {
 	}()
 
 	err := sc.readLoop()
-	// Let every dispatched handler answer (or discard) before the response
-	// channel closes; then the writer exits and the conn closes. Handlers
-	// never outlive serve, so a dropped conn leaks nothing.
+	// Let every dispatched job answer (or discard) and every handler exit
+	// before the response channel closes; then the writer exits and the
+	// conn closes. Handlers never outlive serve, so a dropped conn leaks
+	// nothing.
 	sc.inflight.Wait()
+	close(sc.jobs)
+	sc.handlers.Wait()
 	close(sc.out)
 	<-writerDone
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
@@ -199,20 +253,18 @@ func (sc *serverConn) serve() {
 	}
 }
 
-// send hands an encoded response frame to the writer. It never blocks
-// indefinitely against a dead writer: the writer keeps consuming (and
-// discarding) until the channel closes.
-func (sc *serverConn) send(frame []byte) { sc.out <- frame }
+// send hands an answer to the writer. It never blocks indefinitely against
+// a dead writer: the writer keeps consuming (and discarding) until the
+// channel closes.
+func (sc *serverConn) send(r response) { sc.out <- r }
 
 func (sc *serverConn) writeLoop() {
 	bw := bufio.NewWriterSize(sc.c, 64<<10)
-	for frame := range sc.out {
+	for r := range sc.out {
 		if sc.writeFailed.Load() {
-			PutBuffer(frame)
 			continue
 		}
-		_, err := bw.Write(frame)
-		PutBuffer(frame)
+		_, err := bw.Write(r.appendFrame(bw.AvailableBuffer()))
 		if err == nil && len(sc.out) == 0 {
 			err = bw.Flush()
 		}
@@ -235,13 +287,13 @@ func (sc *serverConn) readLoop() error {
 		h, err := ParseHeader(hdr[:])
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
-				sc.fail(hdr[5], getU64(hdr[8:]), ErrCodeTooLarge, "payload exceeds MaxPayload")
+				sc.send(errResponse(hdr[5], getU64(hdr[8:]), ErrCodeTooLarge, "payload exceeds MaxPayload"))
 			}
 			return err
 		}
 		if h.Version != Version {
-			sc.fail(h.Opcode, h.ReqID, ErrCodeVersion,
-				fmt.Sprintf("version %d unsupported (want %d)", h.Version, Version))
+			sc.send(errResponse(h.Opcode, h.ReqID, ErrCodeVersion,
+				fmt.Sprintf("version %d unsupported (want %d)", h.Version, Version)))
 			return ErrVersion
 		}
 		// Op-bearing payloads are read into a FRESH buffer on purpose: the
@@ -258,70 +310,79 @@ func (sc *serverConn) readLoop() error {
 		case OpcodeOp:
 			op, n, err := DecodeOp(payload)
 			if err != nil || n != len(payload) {
-				sc.fail(h.Opcode, h.ReqID, ErrCodeBadRequest, "malformed op payload")
+				sc.send(errResponse(h.Opcode, h.ReqID, ErrCodeBadRequest, "malformed op payload"))
 				continue
 			}
-			sc.inflight.Add(1)
-			go sc.handleOp(h.ReqID, op)
+			sc.dispatch(job{opcode: OpcodeOp, reqid: h.ReqID, op: op})
 		case OpcodeBatch:
 			ops, err := DecodeBatch(payload, make([]service.Op, 0, 16))
 			if err != nil {
-				sc.fail(h.Opcode, h.ReqID, ErrCodeBadRequest, "malformed batch payload")
+				sc.send(errResponse(h.Opcode, h.ReqID, ErrCodeBadRequest, "malformed batch payload"))
 				continue
 			}
-			sc.inflight.Add(1)
-			go sc.handleBatch(h.ReqID, ops)
+			sc.dispatch(job{opcode: OpcodeBatch, reqid: h.ReqID, ops: ops})
 		case OpcodeStats:
-			sc.inflight.Add(1)
-			go sc.handleStats(h.ReqID)
+			sc.dispatch(job{opcode: OpcodeStats, reqid: h.ReqID})
 		case OpcodePing:
 			// The no-op round trip (§3.7): answered inline — a ping measures
 			// the read-dispatch-write path, not the store.
-			sc.send(AppendEmptyFrame(GetBuffer(), OpcodePing, FlagResp, h.ReqID))
+			sc.send(response{opcode: OpcodePing, reqid: h.ReqID})
 		case OpcodeDrain:
 			// The pipeline fence (§3.5): only the reader Adds to inflight,
 			// so waiting here is race-free — every previously dispatched
-			// request has answered (its response frame is queued ahead of
-			// ours) before the drain response is sent.
+			// request has answered (its response is queued ahead of ours)
+			// before the drain response is sent.
 			sc.inflight.Wait()
-			sc.send(AppendEmptyFrame(GetBuffer(), OpcodeDrain, FlagResp, h.ReqID))
+			sc.send(response{opcode: OpcodeDrain, reqid: h.ReqID})
 		default:
-			sc.fail(h.Opcode, h.ReqID, ErrCodeOpcode,
-				fmt.Sprintf("unknown opcode 0x%02x", h.Opcode))
+			sc.send(errResponse(h.Opcode, h.ReqID, ErrCodeOpcode,
+				fmt.Sprintf("unknown opcode 0x%02x", h.Opcode)))
 		}
 	}
 }
 
-func (sc *serverConn) fail(opcode byte, reqid uint64, code byte, msg string) {
-	sc.send(AppendErrorFrame(GetBuffer(), opcode, reqid, code, msg))
+// dispatch hands j to a parked handler, or to a new one if none is parked.
+func (sc *serverConn) dispatch(j job) {
+	sc.inflight.Add(1)
+	select {
+	case sc.jobs <- j:
+	default:
+		sc.handlers.Add(1)
+		go sc.handle(j)
+	}
 }
 
-func (sc *serverConn) handleOp(reqid uint64, op service.Op) {
-	defer sc.inflight.Done()
-	res, err := sc.s.store.Do(context.Background(), op)
-	if err != nil {
-		sc.fail(OpcodeOp, reqid, ErrCodeOf(err), err.Error())
-		return
+// handle runs j, then every job handed to it while parked, until serve
+// closes jobs.
+func (sc *serverConn) handle(j job) {
+	defer sc.handlers.Done()
+	for ok := true; ok; j, ok = <-sc.jobs {
+		sc.send(sc.run(j))
+		sc.inflight.Done()
 	}
-	sc.send(AppendResultFrame(GetBuffer(), reqid, res))
 }
 
-func (sc *serverConn) handleBatch(reqid uint64, ops []service.Op) {
-	defer sc.inflight.Done()
-	results, err := sc.s.store.DoBatch(context.Background(), ops)
-	if err != nil {
-		sc.fail(OpcodeBatch, reqid, ErrCodeOf(err), err.Error())
-		return
+// run executes one job against the backend and returns its answer.
+func (sc *serverConn) run(j job) response {
+	ctx := context.Background()
+	var err error
+	switch j.opcode {
+	case OpcodeOp:
+		var res service.Result
+		if res, err = sc.s.store.Do(ctx, j.op); err == nil {
+			return response{opcode: OpcodeOp, reqid: j.reqid, res: res}
+		}
+	case OpcodeBatch:
+		var results []service.Result
+		if results, err = sc.s.store.DoBatch(ctx, j.ops); err == nil {
+			return response{opcode: OpcodeBatch, reqid: j.reqid, results: results}
+		}
+	default: // OpcodeStats
+		var doc []byte
+		if doc, err = json.Marshal(sc.s.store.Stats()); err == nil {
+			return response{opcode: OpcodeStats, reqid: j.reqid, raw: doc}
+		}
+		return errResponse(OpcodeStats, j.reqid, ErrCodeInternal, err.Error())
 	}
-	sc.send(AppendResultsFrame(GetBuffer(), reqid, results))
-}
-
-func (sc *serverConn) handleStats(reqid uint64) {
-	defer sc.inflight.Done()
-	doc, err := json.Marshal(sc.s.store.Stats())
-	if err != nil {
-		sc.fail(OpcodeStats, reqid, ErrCodeInternal, err.Error())
-		return
-	}
-	sc.send(AppendRawFrame(GetBuffer(), OpcodeStats, FlagResp, reqid, doc))
+	return errResponse(j.opcode, j.reqid, ErrCodeOf(err), err.Error())
 }

@@ -8,7 +8,9 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,19 @@ import (
 func startServer(t *testing.T, cfg service.Config) string {
 	t.Helper()
 	store := service.New(cfg)
-	srv := NewServer(store, ServerConfig{AcceptLoops: 2, Logf: t.Logf})
+	t.Cleanup(func() {
+		if err := store.Close(); err != nil && !errors.Is(err, service.ErrClosed) {
+			t.Errorf("store close: %v", err)
+		}
+	})
+	return serveT(t, store)
+}
+
+// serveT serves be on a loopback listener, returning the dial address.
+// Cleanup drains the transport; the backend is the caller's.
+func serveT(t *testing.T, be Backend) string {
+	t.Helper()
+	srv := NewServer(be, ServerConfig{AcceptLoops: 2, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +51,6 @@ func startServer(t *testing.T, cfg service.Config) string {
 		}
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
-		}
-		if err := store.Close(); err != nil && !errors.Is(err, service.ErrClosed) {
-			t.Errorf("store close: %v", err)
 		}
 	})
 	return lis.Addr().String()
@@ -185,6 +196,55 @@ func TestDrainFence(t *testing.T) {
 			t.Fatalf("unexpected frame %+v payload %x", h, payload)
 		}
 		seen++
+	}
+}
+
+// slowBackend answers every op a millisecond late, so a fence that did not
+// wait would overtake the ops sent before it.
+type slowBackend struct{ *service.Store }
+
+func (b slowBackend) Do(ctx context.Context, op service.Op) (service.Result, error) {
+	time.Sleep(time.Millisecond)
+	return b.Store.Do(ctx, op)
+}
+
+// TestDrainFenceReusedHandlers: the fence still waits for every op sent
+// before it once the connection's handlers are parked ones being reused,
+// round after round, against a backend slow enough to lose the race.
+func TestDrainFenceReusedHandlers(t *testing.T) {
+	store := service.New(service.Config{Shards: 2})
+	defer store.Close()
+	nc, err := net.Dial("tcp", serveT(t, slowBackend{store}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	const ops = 16
+	for round := 0; round < 4; round++ {
+		var buf []byte
+		for i := uint64(1); i <= ops; i++ {
+			buf, err = AppendOpFrame(buf, i, service.Op{Kind: service.OpPut, Key: fmt.Sprintf("k%d", i), Val: "v"})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf = AppendEmptyFrame(buf, OpcodeDrain, 0, 99)
+		if _, err := nc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		for seen := 0; ; seen++ {
+			h, payload := readFrameT(t, nc)
+			if h.Opcode == OpcodeDrain {
+				if seen != ops {
+					t.Fatalf("round %d: drain response arrived after %d/%d op responses", round, seen, ops)
+				}
+				break
+			}
+			if h.Opcode != OpcodeOp || h.IsError() {
+				t.Fatalf("round %d: unexpected frame %+v payload %x", round, h, payload)
+			}
+		}
 	}
 }
 
@@ -527,5 +587,200 @@ func TestClientConnFailure(t *testing.T) {
 	}
 	if err := c.Drain(); err == nil {
 		t.Fatal("Drain on a closed conn succeeded")
+	}
+}
+
+// handlerGoroutines counts the wire server's handler goroutines, parked or
+// busy, in the whole process.
+func handlerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*serverConn).handle(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestShutdownJoinsHandlers: a Shutdown that force-closes a connection whose
+// handlers sit parked between requests leaves none of them behind.
+func TestShutdownJoinsHandlers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	store := service.New(service.Config{Shards: 2})
+	srv := NewServer(store, ServerConfig{AcceptLoops: 1})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(lis) }()
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := c.Do(service.Op{Kind: service.OpPut, Key: fmt.Sprintf("w%d", w), Val: "v"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if handlerGoroutines() == 0 {
+		t.Fatal("no parked handler before shutdown: the test checks nothing")
+	}
+
+	// The client keeps its connection open, so Shutdown must force it.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if n := handlerGoroutines(); n != 0 {
+		t.Fatalf("%d handler goroutines outlived Shutdown", n)
+	}
+	c.Close()
+	store.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// flakyConn is a client transport whose Write, once failNext is set,
+// delivers its bytes and then reports failure once release is closed: the
+// peer may answer the frame before the caller learns its write failed.
+type flakyConn struct {
+	net.Conn
+	failNext atomic.Bool
+	release  chan struct{}
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (f *flakyConn) Write(b []byte) (int, error) {
+	n, err := f.Conn.Write(b)
+	if err == nil && f.failNext.Swap(false) {
+		<-f.release
+		return n, errInjected
+	}
+	return n, err
+}
+
+// pendingCalls is the number of calls c is waiting on.
+func pendingCalls(c *Conn) int {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return len(c.pending)
+}
+
+// answerOp writes a result frame for reqid, as a server would.
+func answerOp(t *testing.T, nc net.Conn, reqid uint64, val string) {
+	t.Helper()
+	if _, err := nc.Write(AppendResultFrame(nil, reqid, service.Result{OK: true, Val: val})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbandonedCallNeverReused: a call whose write failed is abandoned for
+// good. A late response to its ID is dropped, and the call record is never
+// handed to a later caller, even when the reader signalled it before the
+// caller learned the write had failed.
+func TestAbandonedCallNeverReused(t *testing.T) {
+	op := service.Op{Kind: service.OpGet, Key: "k"}
+	for _, answerFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("answered-before-abandon=%v", answerFirst), func(t *testing.T) {
+			cli, peer := net.Pipe()
+			defer peer.Close()
+			fc := &flakyConn{Conn: cli, release: make(chan struct{})}
+			c := NewConn(fc)
+			defer c.Close()
+
+			fc.failNext.Store(true)
+			if !answerFirst {
+				close(fc.release)
+			}
+			errc := make(chan error, 1)
+			go func() { _, err := c.Do(op); errc <- err }()
+			h, _ := readFrameT(t, peer)
+			if answerFirst {
+				answerOp(t, peer, h.ReqID, "stale")
+				for pendingCalls(c) != 0 {
+					time.Sleep(time.Millisecond)
+				}
+				close(fc.release)
+			}
+			if err := <-errc; !errors.Is(err, errInjected) {
+				t.Fatalf("failed write: got %v, want the injected error", err)
+			}
+
+			type answer struct {
+				res service.Result
+				err error
+			}
+			resc := make(chan answer, 1)
+			go func() { res, err := c.Do(op); resc <- answer{res, err} }()
+			h2, _ := readFrameT(t, peer)
+			if !answerFirst {
+				answerOp(t, peer, h.ReqID, "stale")
+			}
+			select {
+			case a := <-resc:
+				t.Fatalf("call returned %+v, %v before its answer was sent", a.res, a.err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			answerOp(t, peer, h2.ReqID, "fresh")
+			if a := <-resc; a.err != nil || a.res.Val != "fresh" {
+				t.Fatalf("call after an abandoned one: got %+v, %v, want fresh", a.res, a.err)
+			}
+		})
+	}
+}
+
+// TestConnDeathFailsEachCallOnce: a connection that dies with calls in
+// flight fails every one of them, and signals each exactly once — a
+// second signal would sit in a recycled call's buffer and wake its next
+// caller early.
+func TestConnDeathFailsEachCallOnce(t *testing.T) {
+	cli, peer := net.Pipe()
+	c := NewConn(cli)
+	defer c.Close()
+
+	const n = 8
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { _, err := c.Do(service.Op{Kind: service.OpGet, Key: "k"}); errs <- err }()
+	}
+	for i := 0; i < n; i++ {
+		readFrameT(t, peer) // every call is registered and written
+	}
+	peer.Close()
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("in-flight call: got %v, want ErrConnClosed", err)
+		}
+	}
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	if len(c.free) != n {
+		t.Fatalf("%d calls released, want %d", len(c.free), n)
+	}
+	for _, cl := range c.free {
+		if len(cl.done) != 0 {
+			t.Fatal("a failed call was signalled twice")
+		}
 	}
 }

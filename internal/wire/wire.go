@@ -20,7 +20,8 @@
 // batch feeds the store's per-shard batch windows directly via DoBatch.
 //
 // Encoding discipline (the whole point of the package): encoders are
-// append-style over caller-held or pooled buffers and decoders are
+// append-style over caller-held buffers (a client Conn's encode buffer, the
+// server writer's bufio.Writer) and decoders are
 // cursor-style over the received frame with strings aliasing the frame
 // buffer — no reflection, no intermediate structs, 0 allocs/op on both
 // paths, held by benchgate exactly like the internal/sched step path. See
