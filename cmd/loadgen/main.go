@@ -18,9 +18,10 @@
 // -addr is the host:port of served's -wire listener, and the workers share
 // -conns pipelined connections round-robin, so the per-connection pipeline
 // depth is workers/conns. -batch N packs N ops into each batch frame — the
-// protocol's throughput lever. A listener that accepts the connection but
-// does not answer an RPW1 ping (served's HTTP port, say) fails the run
-// within seconds instead of hanging it.
+// protocol's throughput lever. loadgen waits up to 5 s for the listener to
+// come up, so it can start right behind a backgrounded served; a listener
+// that accepts the connection but does not answer an RPW1 ping (served's
+// HTTP port, say) fails the run within seconds instead of hanging it.
 //
 // Saturation and server-deadline errors arrive as typed wire errors and are
 // retried up to -retries times with the same client-assigned op id, which
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -101,6 +103,14 @@ func main() {
 	flag.Parse()
 	if o.conns < 1 || o.batch < 1 || o.batch > wire.MaxBatchOps {
 		log.Fatalf("loadgen: -conns must be >= 1 and -batch in [1, %d]", wire.MaxBatchOps)
+	}
+	// Wait for the server to come up: scripts start it in the background.
+	for i := 0; i < 50; i++ {
+		if c, err := net.Dial("tcp", o.addr); err == nil {
+			c.Close()
+			break
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
 	if err := run(o); err != nil {
 		log.Fatalf("loadgen: %v", err)
@@ -229,16 +239,9 @@ func (w *worker) issueBatch(ops []service.Op, results []service.Result) ([]servi
 const pingTimeout = 5 * time.Second
 
 func run(o options) error {
-	// Wait for the server to come up (CI starts it in the background), probe
-	// that it speaks RPW1, then open the rest of the shared connection pool.
-	var first *wire.Conn
-	var err error
-	for i := 0; i < 50; i++ {
-		if first, err = wire.Dial(o.addr); err == nil {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	// Probe that the server speaks RPW1, then open the rest of the shared
+	// connection pool.
+	first, err := wire.Dial(o.addr)
 	if err != nil {
 		return fmt.Errorf("wire server at %s not reachable: %w", o.addr, err)
 	}

@@ -61,7 +61,7 @@ func TestRunIssuesBudget(t *testing.T) {
 }
 
 // TestRunUnreachable: a closed listener fails the run with "not
-// reachable" once the dial retries run out.
+// reachable" (run dials once; main is what waits for a booting server).
 func TestRunUnreachable(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -81,6 +81,7 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 		c.BatchWindow = freeWindow
 		c.RouteTimeout = time.Second.Nanoseconds()
 	})
+	waitConnected(t, freeNodes)
 	ctx := context.Background()
 	freeResults := make([]service.Result, 0, len(script))
 	for _, op := range script {
@@ -184,6 +185,26 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 		}
 		if got := virtNodes[i].chain(0); !isPrefix(got, virtChain) {
 			t.Fatalf("virtual replica %d chain diverges from owner:\n%+v\n%+v", i, got, virtChain)
+		}
+	}
+}
+
+// waitConnected blocks until every free node holds a connection to every
+// peer. A frame sent before that is dropped, and a dropped RepDone makes
+// the front end resend its route after RouteTimeout: the owner, which had
+// already answered, appends the op a second time (dedup acts at apply), so
+// the free chain gains an entry the virtual one lacks.
+func waitConnected(t *testing.T, nodes []*Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, n := range nodes {
+		for _, p := range n.tr.(*FreeTransport).peers {
+			for p.id != n.cfg.ID && p.get() == nil {
+				if time.Now().After(deadline) {
+					t.Fatalf("node %d never connected to node %d", n.cfg.ID, p.id)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 }

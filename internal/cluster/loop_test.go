@@ -91,10 +91,10 @@ func TestTickAllocationFree(t *testing.T) {
 	n := New(cfg, ft, []*service.Store{st})
 	now := time.Now().UnixNano()
 	for id := uint64(1); id <= 8; id++ {
-		n.routes[id] = &route{sentAt: now}
+		n.fe.routes[id] = &route{sentAt: now}
 	}
 	avg := testing.AllocsPerRun(200, func() { n.tick(nil) })
 	if avg != 0 {
-		t.Fatalf("tick allocates %.1f objects per call with %d pending routes, want 0", avg, len(n.routes))
+		t.Fatalf("tick allocates %.1f objects per call with %d pending routes, want 0", avg, len(n.fe.routes))
 	}
 }

@@ -55,7 +55,7 @@ func TestRedirectReroutesStaleFrontend(t *testing.T) {
 		// the front end now believes node 2 owns it. Mutating loop-owned
 		// state is safe here — every proc of a controlled run holds the step
 		// token exclusively.
-		nodes[0].owners[0] = 2
+		nodes[0].fe.owners[0] = 2
 		res, err := nodes[0].DoBatchOn(p, []service.Op{{Kind: service.OpGet, Key: "k", ID: 2}})
 		if err != nil {
 			t.Errorf("redirected get: %v", err)
@@ -153,8 +153,8 @@ func TestOwnerHintsRangeChecked(t *testing.T) {
 			n.handle(p, &message{kind: tc.kind, rep: wire.Rep{From: 1, Epoch: 5, Peer: tc.peer}})
 		})
 		r.Execute(64)
-		if sr := n.shards[0]; n.owners[0] != 0 || sr.owner != 0 || sr.epoch != 1 || !sr.isOwner {
-			t.Errorf("%s frame naming node %d: hint %d, replica %+v", tc.name, tc.peer, n.owners[0], n.ShardState(0))
+		if sr := n.shards[0]; n.fe.owners[0] != 0 || sr.owner != 0 || sr.epoch != 1 || sr.own == nil {
+			t.Errorf("%s frame naming node %d: hint %d, replica %+v", tc.name, tc.peer, n.fe.owners[0], n.ShardState(0))
 		}
 	}
 }

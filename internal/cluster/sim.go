@@ -346,43 +346,11 @@ func flapPlan(t ctopo, _ int64, rng *rand.Rand) NetPlan {
 	return pl
 }
 
-// cfairBase mirrors the service package's fair base-policy draw.
-func cfairBase(n int, rng *rand.Rand) (sim.Schedule, func() sched.Policy) {
-	var s sim.Schedule
-	s.SoloID = -1
-	s.FairBase = true
-	var mk func() sched.Policy
-	switch rng.IntN(3) {
-	case 0:
-		s.Desc = "round-robin"
-		mk = func() sched.Policy { return &sched.RoundRobin{} }
-	case 1:
-		seed := rng.Uint64()
-		s.Desc = fmt.Sprintf("random(%d)", seed)
-		mk = func() sched.Policy { return sched.NewRandom(seed) }
-	default:
-		perm := rng.Perm(n)
-		s.Desc = fmt.Sprintf("cycle(%v)", perm)
-		mk = func() sched.Policy { return &sched.Cycle{Seq: perm} }
-	}
-	return s, mk
-}
-
-func csourceOf(mk func() sched.Policy) sched.PolicySource {
-	return sched.PolicySourceFunc(func(uint64) sched.Policy { return mk() })
-}
-
-func cfairGen(n int, _ int64, rng *rand.Rand) sim.Schedule {
-	s, mk := cfairBase(n, rng)
-	s.Source = csourceOf(mk)
-	return s
-}
-
 // nodeCrashGen crashes the victim node's event loop after a seed-chosen
 // number of its own steps, over a fair base.
 func nodeCrashGen(t ctopo, victim NodeID) sim.Generator {
 	return func(n int, _ int64, rng *rand.Rand) sim.Schedule {
-		s, mk := cfairBase(n, rng)
+		s, mk := sim.DrawFair(n, rng)
 		// The node loop takes roughly one own-step per grant while parked, so
 		// its own-step clock runs ~1/procs of the global one; this window
 		// lands the crash mid-load for the scenario workload sizes.
@@ -391,13 +359,13 @@ func nodeCrashGen(t ctopo, victim NodeID) sim.Generator {
 		s.CrashPlan = plan
 		s.Desc += fmt.Sprintf("+crash{node%d@%d}", victim, at)
 		inner := mk
-		s.Source = csourceOf(func() sched.Policy { return &sched.CrashAt{Inner: inner(), At: plan} })
+		s.Source = sim.SourceOf(func() sched.Policy { return &sched.CrashAt{Inner: inner(), At: plan} })
 		return s
 	}
 }
 
 func (sc cscenario) scenario() sim.Scenario {
-	gen := sim.Generator(cfairGen)
+	gen := sim.Generator(sim.FairGen)
 	if sc.crashOwner {
 		gen = nodeCrashGen(sc.topo, sc.topo.stores[0])
 	}

@@ -30,9 +30,10 @@ type AuditConfig struct {
 	// MaxTrackedKeys bounds the auditor's per-key window table. Records for
 	// keys beyond the bound are dropped. Default 65536.
 	MaxTrackedKeys int
-	// MaxViolationSamples caps the retained violation descriptions. Default 8.
-	MaxViolationSamples int
 }
+
+// maxViolationSamples caps the retained violation descriptions.
+const maxViolationSamples = 8
 
 func (c AuditConfig) withDefaults() AuditConfig {
 	if c.SampleFraction <= 0 || c.SampleFraction > 1 {
@@ -49,9 +50,6 @@ func (c AuditConfig) withDefaults() AuditConfig {
 	}
 	if c.MaxTrackedKeys <= 0 {
 		c.MaxTrackedKeys = 1 << 16
-	}
-	if c.MaxViolationSamples <= 0 {
-		c.MaxViolationSamples = 8
 	}
 	return c
 }
@@ -72,7 +70,7 @@ type AuditStats struct {
 	// Gaps counts windows discarded because a sampling gap broke version
 	// contiguity (a discarded window is "not audited", never "passed").
 	Gaps int64 `json:"gaps"`
-	// ViolationSamples holds up to MaxViolationSamples descriptions.
+	// ViolationSamples holds up to maxViolationSamples descriptions.
 	ViolationSamples []string `json:"violation_samples,omitempty"`
 }
 
@@ -307,7 +305,7 @@ func (a *auditor) check(key string, ops []spec.CASOp) {
 	switch res {
 	case spec.Violation:
 		a.violations++
-		if len(a.samples) < a.cfg.MaxViolationSamples {
+		if len(a.samples) < maxViolationSamples {
 			a.samples = append(a.samples, fmt.Sprintf(
 				"key %q: %d-op window has no valid linearization", key, len(ops)))
 		}

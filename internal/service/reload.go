@@ -8,12 +8,12 @@ import (
 // Tunables are the runtime-safe knobs of a live Store: the subset of Config
 // that can be swapped atomically while traffic is being served. Everything
 // else (shard count, worker count, the physical queue capacity, audit window
-// shape, dedup table bound) is structural and fixed at boot.
+// shape) is structural and fixed at boot.
 //
-// MaxDedup is deliberately NOT reloadable: the dedup table is part of the
-// replicated state machine, so its eviction bound must be identical on every
-// replica at every log position — a mid-run change could diverge replicas
-// that apply the same position on different sides of the swap.
+// The dedup bound is a constant (maxDedup), not a knob: the dedup table is
+// part of the replicated state machine, so its eviction bound must be
+// identical on every replica at every log position — a change could diverge
+// replicas that apply the same position on different sides of it.
 type Tunables struct {
 	// MaxBatch caps commands per log command. Takes effect at each worker's
 	// next grant window.

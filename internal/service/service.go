@@ -99,7 +99,7 @@ type Op struct {
 	Old string `json:"old,omitempty"`
 	// ID, when non-zero, is a client-assigned operation identity used for
 	// exactly-once retry: the replicated state machine remembers the result
-	// of the first apply of each ID (up to Config.MaxDedup IDs per shard,
+	// of the first apply of each ID (up to 4096 IDs per shard, maxDedup,
 	// FIFO-evicted) and replays it to retries instead of re-applying them.
 	// A client that got ErrDeadline should resubmit the SAME op with the
 	// SAME ID — the command may have committed after the wait was abandoned,
@@ -129,9 +129,6 @@ type Config struct {
 	// MaxBatch caps how many queued commands one worker groups into a
 	// single log command per grant window. Default 64.
 	MaxBatch int
-	// MaxDedup bounds the per-shard table of remembered op IDs (see Op.ID);
-	// the oldest ID is forgotten first. Default 4096.
-	MaxDedup int
 	// Audit configures the online linearizability auditor.
 	Audit AuditConfig
 	// Supervise configures worker supervision and crash recovery.
@@ -154,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxDedup <= 0 {
-		c.MaxDedup = 4096
 	}
 	c.Audit = c.Audit.withDefaults()
 	c.Supervise = c.Supervise.withDefaults()

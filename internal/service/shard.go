@@ -95,12 +95,16 @@ type dedupEntry struct {
 // every replica agrees on exactly which retry was a duplicate, and a
 // timed-out client may resubmit with the same ID without risking a
 // double-apply. order is the FIFO eviction queue bounding the table at
-// Config.MaxDedup remembered IDs.
+// maxDedup remembered IDs.
 type kvState struct {
 	keys  map[string]entry
 	dedup map[uint64]dedupEntry
 	order []uint64
 }
+
+// maxDedup bounds each shard's table of remembered op IDs (see Op.ID); the
+// oldest ID is forgotten first.
+const maxDedup = 4096
 
 func newKVState() kvState {
 	return kvState{keys: map[string]entry{}, dedup: map[uint64]dedupEntry{}}
@@ -453,7 +457,7 @@ func (sl *slot) finish(p *sched.Proc, b *batch) {
 // Identified ops (op.ID != 0) are deduplicated against the replicated
 // dedup table: a retry of an already-applied ID replays the remembered
 // result instead of mutating state, so timeout-and-retry is exactly-once
-// up to MaxDedup remembered IDs.
+// up to maxDedup remembered IDs.
 func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 	if b == nil {
 		// Sync's noop: never decided into a cell (catchUp only syncs below
@@ -529,10 +533,10 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 		if id != 0 && !hit {
 			m.dedup[id] = dedupEntry{res: res, ver: e.ver}
 			m.order = append(m.order, id)
-			if len(m.order) > st.cfg.MaxDedup {
+			if len(m.order) > maxDedup {
 				delete(m.dedup, m.order[0])
 				m.order = m.order[1:]
-				if cap(m.order) > 4*st.cfg.MaxDedup {
+				if cap(m.order) > 4*maxDedup {
 					m.order = append([]uint64(nil), m.order...)
 				}
 			}

@@ -141,48 +141,13 @@ type runState struct {
 	badAccepted    bool
 }
 
-// fairBase draws a fair base policy — round-robin, seeded random, or a
-// cyclic random permutation of all procs — and returns the schedule
-// skeleton plus the policy constructor for fault wrappers.
-func fairBase(n int, rng *rand.Rand) (sim.Schedule, func() sched.Policy) {
-	var s sim.Schedule
-	s.SoloID = -1
-	s.FairBase = true
-	var mk func() sched.Policy
-	switch rng.IntN(3) {
-	case 0:
-		s.Desc = "round-robin"
-		mk = func() sched.Policy { return &sched.RoundRobin{} }
-	case 1:
-		seed := rng.Uint64()
-		s.Desc = fmt.Sprintf("random(%d)", seed)
-		mk = func() sched.Policy { return sched.NewRandom(seed) }
-	default:
-		perm := rng.Perm(n)
-		s.Desc = fmt.Sprintf("cycle(%v)", perm)
-		mk = func() sched.Policy { return &sched.Cycle{Seq: perm} }
-	}
-	return s, mk
-}
-
-func sourceOf(mk func() sched.Policy) sched.PolicySource {
-	return sched.PolicySourceFunc(func(uint64) sched.Policy { return mk() })
-}
-
-// fairGen generates fault-free fair schedules.
-func fairGen(n int, _ int64, rng *rand.Rand) sim.Schedule {
-	s, mk := fairBase(n, rng)
-	s.Source = sourceOf(mk)
-	return s
-}
-
 // crashGen layers a worker crash plan over a fair base: 1..maxVictims
 // distinct workers crash after a small number of their own steps — i.e.
 // mid-window, possibly after committing a batch but before answering its
 // clients.
 func crashGen(t topology, maxVictims int) sim.Generator {
 	return func(n int, _ int64, rng *rand.Rand) sim.Schedule {
-		s, mk := fairBase(n, rng)
+		s, mk := sim.DrawFair(n, rng)
 		workers := t.workerIDs()
 		victims := 1 + rng.IntN(maxVictims)
 		if victims >= len(workers) {
@@ -195,7 +160,7 @@ func crashGen(t topology, maxVictims int) sim.Generator {
 		plan := s.CrashPlan
 		s.Desc += fmt.Sprintf("+crash{%d workers}", len(plan))
 		inner := mk
-		s.Source = sourceOf(func() sched.Policy { return &sched.CrashAt{Inner: inner(), At: plan} })
+		s.Source = sim.SourceOf(func() sched.Policy { return &sched.CrashAt{Inner: inner(), At: plan} })
 		return s
 	}
 }
@@ -222,7 +187,7 @@ func stallGen(t topology) sim.Generator {
 		}
 		s.Omitted = []int{victim}
 		s.Desc = fmt.Sprintf("stall(p%d)", victim)
-		s.Source = sourceOf(func() sched.Policy { return &sched.Subset{IDs: ids} })
+		s.Source = sim.SourceOf(func() sched.Policy { return &sched.Subset{IDs: ids} })
 		return s
 	}
 }
@@ -244,7 +209,7 @@ func starveAuditorGen(t topology) sim.Generator {
 		// Rotate the subset's start so seeds vary the interleaving phase.
 		off := rng.IntN(len(ids))
 		rot := append(append([]int{}, ids[off:]...), ids[:off]...)
-		s.Source = sourceOf(func() sched.Policy { return &sched.Subset{IDs: rot} })
+		s.Source = sim.SourceOf(func() sched.Policy { return &sched.Subset{IDs: rot} })
 		return s
 	}
 }
@@ -292,7 +257,7 @@ type vscenario struct {
 	topo   topology
 	budget int64
 	wl     workload
-	gen    sim.Generator // nil = fairGen
+	gen    sim.Generator // nil = sim.FairGen
 	mode   oracleMode
 	// drainAt, when > 0, makes the driver close the store once the run's
 	// logical clock passes a seed-chosen step below this bound, regardless
@@ -497,7 +462,7 @@ func retryFaults(f *fault.Set, rng *rand.Rand) {
 func (sc vscenario) scenario() sim.Scenario {
 	gen := sc.gen
 	if gen == nil {
-		gen = fairGen
+		gen = sim.FairGen
 	}
 	return sim.System(sc.name, "service", sc.topo.procs(), sc.budget, gen, sc.build)
 }

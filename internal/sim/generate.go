@@ -135,8 +135,44 @@ func DefaultGenerator(n int, budget int64, rng *rand.Rand) Schedule {
 		mk = func() sched.Policy { return &sched.CrashAt{Inner: inner(), At: plan} }
 	}
 
-	s.Source = sched.PolicySourceFunc(func(uint64) sched.Policy { return mk() })
+	s.Source = SourceOf(mk)
 	return s
+}
+
+// DrawFair draws a fair base policy — round-robin, seeded random, or a
+// cyclic random permutation of all n procs — and returns the schedule
+// skeleton plus the policy constructor fault wrappers layer over. The
+// service and cluster scenario families share this one draw, so their
+// replay tokens depend on one order of RNG calls.
+func DrawFair(n int, rng *rand.Rand) (Schedule, func() sched.Policy) {
+	s := Schedule{SoloID: -1, FairBase: true}
+	var mk func() sched.Policy
+	switch rng.IntN(3) {
+	case 0:
+		s.Desc = "round-robin"
+		mk = func() sched.Policy { return &sched.RoundRobin{} }
+	case 1:
+		seed := rng.Uint64()
+		s.Desc = fmt.Sprintf("random(%d)", seed)
+		mk = func() sched.Policy { return sched.NewRandom(seed) }
+	default:
+		perm := rng.Perm(n)
+		s.Desc = fmt.Sprintf("cycle(%v)", perm)
+		mk = func() sched.Policy { return &sched.Cycle{Seq: perm} }
+	}
+	return s, mk
+}
+
+// FairGen generates fault-free fair schedules.
+func FairGen(n int, _ int64, rng *rand.Rand) Schedule {
+	s, mk := DrawFair(n, rng)
+	s.Source = SourceOf(mk)
+	return s
+}
+
+// SourceOf mints a fresh policy from mk for every (re-)execution.
+func SourceOf(mk func() sched.Policy) sched.PolicySource {
+	return sched.PolicySourceFunc(func(uint64) sched.Policy { return mk() })
 }
 
 // randomSubset returns a non-empty random subset of 0..n-1, in id order.

@@ -161,3 +161,21 @@ func TestDefaultGeneratorDeterministicAndCovering(t *testing.T) {
 		}
 	}
 }
+
+// TestFairGenDeterministicAndCovering: the shared fair draw is a function of
+// the rng alone, every schedule it yields is fair, and all three bases occur.
+// Service and cluster replay tokens depend on this draw.
+func TestFairGenDeterministicAndCovering(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := uint64(0); seed < 64; seed++ {
+		a := FairGen(4, 0, rand.New(rand.NewPCG(42, seed)))
+		b := FairGen(4, 0, rand.New(rand.NewPCG(42, seed)))
+		if a.Desc != b.Desc || !a.Fair() || a.Source.New(seed) == nil {
+			t.Fatalf("seed %d: %q vs %q, fair %v", seed, a.Desc, b.Desc, a.Fair())
+		}
+		seen[strings.SplitN(a.Desc, "(", 2)[0]] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("bases drawn: %v, want round-robin, random and cycle", seen)
+	}
+}

@@ -15,11 +15,14 @@
 #            incarnations through /chaos and injects queue delays: workers
 #            really died and restarted, p999 bounded on the client and in the
 #            /metrics histogram, no goroutine leak, bounded RSS.
-#   cluster  a 3-node cluster with the shard-0 owner SIGKILLed under load:
-#            zero errors and violations across the failover, >= 1 failover
-#            won by a survivor, no goroutine leak on the survivors, a
-#            per-listener drain report; then a pipelined 3-node cluster
-#            must clear a batched-throughput floor.
+#   cluster  a 3-node cluster whose shard-0 owner (read from /healthz once
+#            ownership settles) is SIGKILLed under load driven through a
+#            survivor: zero errors and violations across the failover,
+#            >= 1 election won by a survivor after the kill, every shard the
+#            victim owned re-owned by a survivor at a higher epoch, no
+#            goroutine leak on the survivors, a per-listener drain report;
+#            then a pipelined 3-node cluster must clear a batched-throughput
+#            floor.
 #
 # Every served process must drain and exit 0 on SIGTERM (3 = the final
 # audit found a violation).
@@ -272,40 +275,77 @@ cluster)
     healthy "${p}0" "${p}1" "${p}2"
   }
   cluster c "$BASE"
-  # Node c0 is about to die, so only the survivors' baselines count. The
-  # load goes through c1, a front end that survives the kill; routes to
-  # shard 0 still cross to c0 (its owner) until the failover.
-  baseline c1 c2
-  say "pushing $OPS ops through c1; SIGKILL c0 (shard-0 owner) mid-run"
-  # Only elections the survivors win after the kill count: a node slow to
-  # boot can lose a shard in a startup election, which proves nothing.
+  # owners NODE...: "shard owner epoch" for every shard the nodes claim to
+  # own, one line per shard; of two claims the higher epoch wins (a deposed
+  # owner may not have heard of its successor yet).
+  owners() {
+    for n in "$@"; do
+      curl -fs "$(url "$n")/healthz" |
+        grep -o '"shard":[0-9]*,"owner":[0-9]*,"epoch":[0-9]*,"is_owner":true' |
+        sed 's/"shard":\([0-9]*\),"owner":\([0-9]*\),"epoch":\([0-9]*\).*/\1 \2 \3/' || true
+    done | sort -k1,1n -k3,3nr | awk '!seen[$1]++'
+  }
+  # failovers NODE...: elections won by the nodes so far.
   failovers() {
     local t=0 f
-    for n in c1 c2; do
+    for n in "$@"; do
       f="$(curl -fs "$(url "$n")/metrics" | sed -n 's/^cluster_failovers_total \([0-9]*\)$/\1/p')"
       t=$((t + ${f:-0}))
     done
     echo "$t"
   }
-  load c1 -conns 4 -workers 8 -ops "$OPS" &
+  baseline c0 c1 c2
+  # Ownership at boot is not the preference order: each node's first dials
+  # to peers not yet listening fail, FreeTransport redials only on its ping
+  # ticker, and the silence outlasts OwnerTimeout, so boots run elections.
+  # Wait until every shard has an owner and two reads agree, then kill the
+  # node that owns shard 0 at that moment.
+  prev="" settled=0
+  for _ in $(seq 1 20); do
+    cur="$(owners c0 c1 c2)"
+    if [ "$(echo "$cur" | grep -c .)" -eq 2 ] && [ "$cur" = "$prev" ]; then
+      settled=1
+      break
+    fi
+    prev="$cur"
+    sleep 0.5
+  done
+  [ "$settled" -eq 1 ] || fail "shard ownership never settled: $cur"
+  say "owners (shard owner epoch): $(echo "$cur" | paste -sd ';')"
+  victim="c$(echo "$cur" | awk '$1 == 0 {print $2}')"
+  survivors=()
+  for n in c0 c1 c2; do [ "$n" = "$victim" ] || survivors+=("$n"); done
+  front="${survivors[0]}"
+  say "pushing $OPS ops through $front; SIGKILL $victim (shard-0 owner) mid-run"
+  load "$front" -conns 4 -workers 8 -ops "$OPS" &
   lg=$!
   sleep 1.2
-  before="$(failovers)"
-  kill -9 "${pid[c0]}"
-  wait "${pid[c0]}" 2>/dev/null || true
+  # Only elections the survivors win after the kill count: boot elections
+  # prove nothing.
+  before="$(failovers "${survivors[@]}")"
+  kill -9 "${pid[$victim]}"
+  wait "${pid[$victim]}" 2>/dev/null || true
   wait "$lg" || exit 1
   sleep 1 # let post-failover retransmissions and closed peer links settle
-  noleak c1 c2
-  # Counted before the SIGTERM: a draining node hands its shards to the
-  # other survivor, which would make even a kill-free run look real.
-  won=$(($(failovers) - before))
-  stop c1 c2
-  for n in c1 c2; do
+  noleak "${survivors[@]}"
+  # Read before the SIGTERM: a draining node hands its shards to the other
+  # survivor, which would make even a kill-free run look real.
+  won=$(($(failovers "${survivors[@]}") - before))
+  after="$(owners "${survivors[@]}")"
+  stop "${survivors[@]}"
+  for n in "${survivors[@]}"; do
     grep -q 'served: drain: http=' "$TMP/$n.log" || fail "node $n printed no per-listener drain report"
     grep -E 'served: (cluster|drain):' "$TMP/$n.log" | sed "s/^/smoke cluster: $n: /"
   done
+  say "owners after the kill: $(echo "$after" | paste -sd ';')"
   [ "$won" -gt 0 ] || fail "no survivor won an election after the kill (vacuous smoke)"
-  say "OK — $won failover(s) absorbed, audit clean, no leaks"
+  while read -r sh o e; do
+    [ "c$o" = "$victim" ] || continue
+    now="$(echo "$after" | awk -v s="$sh" '$1 == s {print "c" $2, $3}')"
+    [ -n "$now" ] && [ "${now#* }" -gt "$e" ] ||
+      fail "shard $sh (owned by $victim at epoch $e) has no surviving owner at a higher epoch (now: ${now:-none})"
+  done <<<"$cur"
+  say "OK — $won failover(s) absorbed, every shard of $victim re-owned at a higher epoch, audit clean, no leaks"
 
   # Batched pass: the replication pipeline opened up, 64-op wire batches,
   # and a floor comfortably above the old stop-and-wait path's ~2568 ops/s.
