@@ -12,20 +12,24 @@ import (
 	"repro/internal/wire"
 )
 
-// reservePorts picks n distinct loopback addresses by binding and releasing
-// ephemeral ports. The tiny reuse race is acceptable in tests.
-func reservePorts(t testing.TB, n int) []string {
+// listenPorts binds n loopback listeners on distinct ephemeral ports and
+// returns them with their addresses. They stay bound until a transport
+// takes them over (newFreeTransport) or the test ends, so no port is ever
+// released and re-bound: binding then releasing races other processes for
+// the port ("bind: address already in use").
+func listenPorts(t testing.TB, n int) ([]net.Listener, []string) {
 	t.Helper()
+	lis := make([]net.Listener, n)
 	addrs := make([]string, n)
-	for i := range addrs {
+	for i := range lis {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+		t.Cleanup(func() { l.Close() })
+		lis[i], addrs[i] = l, l.Addr().String()
 	}
-	return addrs
+	return lis, addrs
 }
 
 // freeNodeConfig shortens the free-mode failure detectors so the tests
@@ -59,21 +63,18 @@ func startFreeCluster(t testing.TB, nodes, shards int) []*Node {
 // window or batch timings.
 func startFreeClusterCfg(t testing.TB, nodes, shards int, mod func(*Config)) []*Node {
 	t.Helper()
-	addrs := reservePorts(t, nodes)
+	lis, addrs := listenPorts(t, nodes)
 	stores := make([]NodeID, nodes)
 	for i := range stores {
 		stores[i] = NodeID(i)
 	}
 	out := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
-		ft, err := NewFreeTransport(NodeID(i), addrs, FreeConfig{
+		ft := newFreeTransport(NodeID(i), lis[i], addrs, FreeConfig{
 			PingEvery:   5 * time.Millisecond,
 			DialBackoff: 5 * time.Millisecond,
 			DialTimeout: 100 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatalf("node %d transport: %v", i, err)
-		}
 		reps := make([]*service.Store, shards)
 		for s := range reps {
 			reps[s] = service.New(service.Config{

@@ -18,10 +18,10 @@ import (
 // old transport dialed synchronously under the peer mutex on first send,
 // stalling every recv/tick for a full DialBackoff round.
 func TestSendPathNeverWaitsOnDial(t *testing.T) {
-	addrs := reservePorts(t, 2)
+	lis, addrs := listenPorts(t, 2)
 	const hang = 300 * time.Millisecond
 	var attempts atomic.Int64
-	ft, err := NewFreeTransport(0, addrs, FreeConfig{
+	ft := newFreeTransport(0, lis[0], addrs, FreeConfig{
 		PingEvery:   2 * time.Millisecond,
 		DialBackoff: 2 * time.Millisecond,
 		DialTimeout: hang,
@@ -31,9 +31,6 @@ func TestSendPathNeverWaitsOnDial(t *testing.T) {
 			return nil, errors.New("black hole")
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := service.New(service.Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 64, MaxBatch: 16})
 	// Node 0 is sole store (quorum 1) and front end; node 1 exists only as
 	// the unreachable peer the heartbeats keep trying to reach.

@@ -75,53 +75,6 @@ func (t ctopo) isFront(id NodeID) bool {
 	return false
 }
 
-// cworkload tunes the generated client scripts (values are globally unique
-// so every write is distinguishable to the checker).
-type cworkload struct {
-	keys    []string
-	hotFrac float64
-	casFrac float64
-	ops     int // per submitter
-	maxCall int // max ops per client batch (1 = singles)
-}
-
-func (wl cworkload) genCalls(sub int, rng *rand.Rand) [][]service.Op {
-	pick := func() service.Op {
-		key := wl.keys[0]
-		if rng.Float64() >= wl.hotFrac {
-			key = wl.keys[rng.IntN(len(wl.keys))]
-		}
-		switch {
-		case rng.Float64() < wl.casFrac:
-			return service.Op{Kind: service.OpCAS, Key: key,
-				Old: fmt.Sprintf("p%dv%d", rng.IntN(4), rng.IntN(wl.ops)),
-				Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.ops))}
-		case rng.IntN(2) == 0:
-			return service.Op{Kind: service.OpGet, Key: key}
-		default:
-			return service.Op{Kind: service.OpPut, Key: key, Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.ops))}
-		}
-	}
-	var calls [][]service.Op
-	remaining := wl.ops
-	for remaining > 0 {
-		n := 1
-		if wl.maxCall > 1 {
-			n = 1 + rng.IntN(wl.maxCall)
-			if n > remaining {
-				n = remaining
-			}
-		}
-		c := make([]service.Op, n)
-		for i := range c {
-			c[i] = pick()
-		}
-		calls = append(calls, c)
-		remaining -= n
-	}
-	return calls
-}
-
 // cmode selects the progress clauses asserted on top of the always-on
 // checker.
 type cmode int
@@ -143,7 +96,7 @@ type cscenario struct {
 	name   string
 	topo   ctopo
 	budget int64
-	wl     cworkload
+	wl     service.Workload
 	mode   cmode
 	// crashOwner crashes the event loop of shard 0's initial owner
 	// (topo.stores[0]) after a seed-chosen number of its own steps.
@@ -194,14 +147,14 @@ func clusterScenarios() []sim.Scenario {
 			// deployment cmd/served -roles defaults to.
 			name: "cluster:smoke", budget: 65536, mode: cFair,
 			topo: ctopo{subs: 2, nodes: 3, stores: []NodeID{0, 1, 2}, fronts: []NodeID{0, 1, 2}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 5, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.2, Ops: 5, MaxCall: 1},
 		},
 		{
 			// Dedicated front end, three store nodes, multiple shards with
 			// distinct owners; client batches split across shards.
 			name: "cluster:shards", budget: 98304, mode: cFair,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 3},
-			wl:   cworkload{keys: []string{"a", "b", "c", "d", "e", "f"}, casFrac: 0.25, ops: 6, maxCall: 3},
+			wl:   service.Workload{Keys: []string{"a", "b", "c", "d", "e", "f"}, CASFrac: 0.25, Ops: 6, MaxCall: 3},
 		},
 		{
 			// The owner of the only shard dies mid-load: followers elect,
@@ -209,7 +162,7 @@ func clusterScenarios() []sim.Scenario {
 			// once.
 			name: "cluster:owner-crash", budget: 131072, mode: cFailover, crashOwner: true,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 5, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 5, MaxCall: 1},
 		},
 		{
 			// A seed-chosen store node is cut off for a window mid-run: the
@@ -220,14 +173,14 @@ func clusterScenarios() []sim.Scenario {
 			// yet) — most seeds; otherwise it catches up on heal.
 			name: "cluster:partition", budget: 131072, mode: cFair, plan: partitionPlan,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 5, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.2, Ops: 5, MaxCall: 1},
 		},
 		{
 			// Lossy, duplicating, reordering network: retransmission and the
 			// dedup tables must mask all of it.
 			name: "cluster:loss", budget: 131072, mode: cFair, plan: lossPlan,
 			topo: ctopo{subs: 2, nodes: 3, stores: []NodeID{0, 1, 2}, fronts: []NodeID{0, 1, 2}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b"}, casFrac: 0.2, ops: 4, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"a", "b"}, CASFrac: 0.2, Ops: 4, MaxCall: 1},
 		},
 		{
 			// Owner crash during loss and duplication: the front end may miss
@@ -235,7 +188,7 @@ func clusterScenarios() []sim.Scenario {
 			// hint of the dead owner expires) and answer every op.
 			name: "cluster:handoff-crash", budget: 131072, mode: cFailover, crashOwner: true, plan: lossPlan,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 4, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 4, MaxCall: 1},
 		},
 		{
 			// Must-detect canary: stale reads after a rigged failover MUST be
@@ -243,7 +196,7 @@ func clusterScenarios() []sim.Scenario {
 			// verification stack).
 			name: "cluster:stale-canary", budget: 131072, mode: cSafety, crashOwner: true, bug: bugSkipApply,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 10, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 10, MaxCall: 1},
 		},
 		{
 			// Pipelined window + batch window under a fair fault-free
@@ -251,7 +204,7 @@ func clusterScenarios() []sim.Scenario {
 			// commits in prefix order, every op answered exactly once.
 			name: "cluster:batch", budget: 98304, mode: cFair, inflight: 4, window: 64,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 2},
-			wl:   cworkload{keys: []string{"a", "b", "c", "d"}, casFrac: 0.2, ops: 6, maxCall: 3},
+			wl:   service.Workload{Keys: []string{"a", "b", "c", "d"}, CASFrac: 0.2, Ops: 6, MaxCall: 3},
 		},
 		{
 			// Owner crash with a pipelined window outstanding: every op is
@@ -260,7 +213,7 @@ func clusterScenarios() []sim.Scenario {
 			name: "cluster:batch-crash", budget: 131072, mode: cFailover, crashOwner: true,
 			inflight: 4, window: 64,
 			topo: ctopo{subs: 2, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 5, maxCall: 2},
+			wl:   service.Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 5, MaxCall: 2},
 		},
 		{
 			// Must-detect canary for the pipelined commit rule: an owner that
@@ -270,7 +223,7 @@ func clusterScenarios() []sim.Scenario {
 			name: "cluster:batch-canary", budget: 131072, mode: cSafety,
 			crashOwner: true, bug: bugAckFullWindow, plan: batchLossPlan, inflight: 4,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 2},
+			wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 12, MaxCall: 2},
 		},
 		{
 			// Must-detect canary for the vote promise: a voter that keeps
@@ -280,7 +233,7 @@ func clusterScenarios() []sim.Scenario {
 			name: "cluster:vote-canary", budget: 131072, mode: cSafety,
 			bug: bugGrantNoPromise, plan: flapPlan,
 			topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-			wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
+			wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 12, MaxCall: 1},
 		},
 	}
 	out := make([]sim.Scenario, 0, len(specs))
@@ -424,7 +377,7 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 	for i := 0; i < t.subs; i++ {
 		sub := i
 		front := nodes[t.fronts[i%len(t.fronts)]]
-		calls := sc.wl.genCalls(i, rng)
+		calls := sc.wl.GenCalls(i, rng)
 		r.Spawn(i, func(p *sched.Proc) { runClusterSubmitter(p, front, obs, st, sub, calls) })
 	}
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func brokenClusterScenario() sim.Scenario {
 		name: "test/cluster-broken", budget: 131072, mode: cSafety,
 		crashOwner: true, bug: bugSkipApply, raw: true,
 		topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 10, maxCall: 1},
+		wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 10, MaxCall: 1},
 	}
 	return sc.scenario()
 }
@@ -35,7 +36,7 @@ func brokenBatchScenario() sim.Scenario {
 		name: "test/cluster-batch-broken", budget: 131072, mode: cSafety,
 		crashOwner: true, bug: bugAckFullWindow, raw: true, plan: batchLossPlan, inflight: 4,
 		topo: ctopo{subs: 1, nodes: 4, stores: three, fronts: []NodeID{0}, shards: 1},
-		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 2},
+		wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 12, MaxCall: 2},
 	}
 	return sc.scenario()
 }
@@ -47,7 +48,7 @@ func brokenVoteScenario() sim.Scenario {
 		name: "test/cluster-vote-broken", budget: 131072, mode: cSafety,
 		bug: bugGrantNoPromise, raw: true, plan: flapPlan,
 		topo: ctopo{subs: 1, nodes: 4, stores: []NodeID{1, 2, 3}, fronts: []NodeID{0}, shards: 1},
-		wl:   cworkload{keys: []string{"k1", "k2"}, hotFrac: 0.5, casFrac: 0, ops: 12, maxCall: 1},
+		wl:   service.Workload{Keys: []string{"k1", "k2"}, HotFrac: 0.5, CASFrac: 0, Ops: 12, MaxCall: 1},
 	}
 	return sc.scenario()
 }

@@ -91,6 +91,13 @@ func NewFreeTransport(self NodeID, addrs []string, cfg FreeConfig) (*FreeTranspo
 	if err != nil {
 		return nil, err
 	}
+	return newFreeTransport(self, lis, addrs, cfg), nil
+}
+
+// newFreeTransport is NewFreeTransport on a listener already bound to
+// addrs[self], so a caller can bind every node's port before any transport
+// dials one.
+func newFreeTransport(self NodeID, lis net.Listener, addrs []string, cfg FreeConfig) *FreeTransport {
 	ft := &FreeTransport{
 		self:    self,
 		cfg:     cfg.withDefaults(),
@@ -111,7 +118,7 @@ func NewFreeTransport(self NodeID, addrs []string, cfg FreeConfig) (*FreeTranspo
 		ft.wg.Add(1)
 		go p.pingLoop()
 	}
-	return ft, nil
+	return ft
 }
 
 // Addr returns the transport's bound listen address (useful when addrs

@@ -118,3 +118,34 @@ func BenchmarkExploreAnalyses(b *testing.B) {
 		}
 	})
 }
+
+// TestAnalysesZeroAllocs pins the frozen-graph passes BenchmarkExploreAnalyses
+// measures: a valence fixpoint from the local valences and an is-decider
+// query against a memoized reachability set allocate nothing.
+func TestAnalysesZeroAllocs(t *testing.T) {
+	g, err := Explore(TASModel{Procs: 4}, []int{0, 1, 1, 0}, 20000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := g.FindDecider(0, 10000)
+	if idx < 0 {
+		idx = g.Initial()
+	}
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"valence-fixpoint", func() {
+			for j := range g.nodes {
+				g.nodes[j].valence = g.nodes[j].local
+			}
+			g.computeValence()
+		}},
+		{"is-decider-memoized", func() { g.IsDecider(idx, 0) }},
+	}
+	for _, tc := range cases {
+		if avg := testing.AllocsPerRun(100, tc.fn); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
+		}
+	}
+}

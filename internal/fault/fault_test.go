@@ -196,3 +196,22 @@ func BenchmarkFireArmedPassthrough(b *testing.B) {
 		s.Fire("worker.preCommit")
 	}
 }
+
+// TestFireZeroAllocs pins what a fault point costs the serving path:
+// firing through a nil set, at a point nothing armed, and at an armed point
+// whose rule lets the firing pass allocates nothing.
+func TestFireZeroAllocs(t *testing.T) {
+	disarmed := NewSet()
+	disarmed.Arm("other.point", Rule{Action: Drop, Count: -1})
+	armed := NewSet()
+	armed.Arm("worker.preCommit", Rule{Action: Drop, After: 1 << 62})
+	cases := []struct {
+		name string
+		set  *Set
+	}{{"nil", nil}, {"disarmed", disarmed}, {"armed-passthrough", armed}}
+	for _, tc := range cases {
+		if avg := testing.AllocsPerRun(1000, func() { tc.set.Fire("worker.preCommit") }); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
+		}
+	}
+}

@@ -108,3 +108,30 @@ func BenchmarkFreeModeCounterFetchAddParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestFreePrimitivesZeroAllocs pins the free-mode fast path the benchmarks
+// above measure: on a sched.FreeProc handle an atomic-register write and
+// read, a fetch-add, a propose and a load-then-CAS allocate nothing.
+// Register's pin is TestRegisterFreeModeZeroAllocs in internal/sched.
+func TestFreePrimitivesZeroAllocs(t *testing.T) {
+	p := sched.FreeProc(0)
+	ar := NewAtomicRegister("ar", 0)
+	c := NewCounter("c")
+	o := NewOnce[int]("once")
+	cas := NewCAS("cas", int64(0))
+	i := 0
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"atomic-register", func() { i++; ar.Write(p, i); _ = ar.Read(p) }},
+		{"counter-fetchadd", func() { _ = c.FetchAdd(p, 1) }},
+		{"once-propose", func() { i++; _ = o.Propose(p, i) }},
+		{"cas-loop", func() { cur := cas.Load(p); cas.CompareAndSwap(p, cur, cur+1) }},
+	}
+	for _, tc := range cases {
+		if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
+		}
+	}
+}

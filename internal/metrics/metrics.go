@@ -23,7 +23,7 @@
 //
 // The package is hand-rolled rather than a client_golang dependency: the
 // repo's regression discipline needs an auditable record path (a handful of
-// atomic adds) that benchgate can hold at 0 allocs/op, and the exposition
+// atomic adds) that a test can hold at 0 allocs/op, and the exposition
 // writer doubles as a reference for the binary-transport refactor's framing
 // discipline.
 package metrics

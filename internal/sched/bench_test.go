@@ -146,20 +146,48 @@ func TestRegisterControlledZeroAllocs(t *testing.T) {
 }
 
 // TestStepZeroAllocs asserts that a bare Step (no memory object involved)
-// does not allocate on either engine path.
+// does not allocate, under each policy shape the BenchmarkStep* family
+// measures: the RoundRobin handoff, the Solo batched window, alternation
+// within a Subset, and the RoundRobin handoff with trace recording on
+// (whose growing trace slice may allocate, amortized, but never once per
+// step).
 func TestStepZeroAllocs(t *testing.T) {
-	var avg float64
-	r := sched.NewRun(2, &sched.RoundRobin{})
-	r.Spawn(0, func(p *sched.Proc) {
-		avg = testing.AllocsPerRun(200, p.Step)
-	})
-	r.Spawn(1, func(p *sched.Proc) {
-		for {
-			p.Step()
-		}
-	})
-	r.Execute(1 << 20)
-	if avg != 0 {
-		t.Errorf("Step allocates %.1f objects per call, want 0", avg)
+	cases := []struct {
+		name   string
+		n      int
+		policy sched.Policy
+		traced bool
+	}{
+		{"roundrobin/n=2", 2, &sched.RoundRobin{}, false},
+		{"roundrobin/n=4", 4, &sched.RoundRobin{}, false},
+		{"roundrobin/n=16", 16, &sched.RoundRobin{}, false},
+		{"solo/n=1", 1, sched.Solo{ID: 0}, false},
+		{"solo/n=8", 8, sched.Solo{ID: 0}, false},
+		{"subset/n=4", 4, &sched.Subset{IDs: []int{0, 3}}, false},
+		{"subset/n=16", 16, &sched.Subset{IDs: []int{0, 15}}, false},
+		{"traced", 2, &sched.RoundRobin{}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var avg float64
+			r := sched.NewRun(tc.n, tc.policy)
+			if tc.traced {
+				r.RecordTrace()
+			}
+			r.Spawn(0, func(p *sched.Proc) {
+				avg = testing.AllocsPerRun(200, p.Step)
+			})
+			for id := 1; id < tc.n; id++ {
+				r.Spawn(id, func(p *sched.Proc) {
+					for {
+						p.Step()
+					}
+				})
+			}
+			r.Execute(1 << 20)
+			if avg != 0 {
+				t.Errorf("Step allocates %.1f objects per call, want 0", avg)
+			}
+		})
 	}
 }

@@ -27,13 +27,15 @@ type AuditConfig struct {
 	// blocking the serving path — and the affected windows are discarded
 	// (counted in AuditStats.Gaps), not mis-checked. Default 8192.
 	QueueDepth int
-	// MaxTrackedKeys bounds the auditor's per-key window table. Records for
-	// keys beyond the bound are dropped. Default 65536.
-	MaxTrackedKeys int
 }
 
-// maxViolationSamples caps the retained violation descriptions.
-const maxViolationSamples = 8
+const (
+	// maxViolationSamples caps the retained violation descriptions.
+	maxViolationSamples = 8
+	// maxTrackedKeys bounds the auditor's per-key window table. Records for
+	// keys beyond the bound are dropped (counted in AuditStats.DroppedOps).
+	maxTrackedKeys = 1 << 16
+)
 
 func (c AuditConfig) withDefaults() AuditConfig {
 	if c.SampleFraction <= 0 || c.SampleFraction > 1 {
@@ -47,9 +49,6 @@ func (c AuditConfig) withDefaults() AuditConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8192
-	}
-	if c.MaxTrackedKeys <= 0 {
-		c.MaxTrackedKeys = 1 << 16
 	}
 	return c
 }
@@ -121,8 +120,9 @@ type window struct {
 // initial value (spec.CASRegisterModel.UnknownInit), which is exactly right
 // for a slice cut from the middle of a history.
 type auditor struct {
-	cfg AuditConfig
-	in  mailbox
+	cfg     AuditConfig
+	maxKeys int // the per-key window table's bound, maxTrackedKeys
+	in      mailbox
 	// join blocks until the auditor proc has exited; the Store sets it when
 	// it spawns the auditor on the runtime.
 	join func(*sched.Proc)
@@ -150,7 +150,7 @@ type auditor struct {
 // a.run on the runtime (the auditor is a managed proc like the workers, so
 // a virtual run's policy can starve it).
 func newAuditor(cfg AuditConfig, rt Runtime) *auditor {
-	a := &auditor{cfg: cfg, in: rt.newMailbox(cfg.QueueDepth),
+	a := &auditor{cfg: cfg, maxKeys: maxTrackedKeys, in: rt.newMailbox(cfg.QueueDepth),
 		checker: spec.NewChecker(spec.CASRegisterModel{UnknownInit: true})}
 	a.setSampleFraction(cfg.SampleFraction)
 	return a
@@ -200,7 +200,7 @@ func (a *auditor) run(p *sched.Proc) {
 		}
 		w := windows[rec.key]
 		if w == nil {
-			if len(windows) >= a.cfg.MaxTrackedKeys {
+			if len(windows) >= a.maxKeys {
 				a.dropped.Add(1)
 				continue
 			}

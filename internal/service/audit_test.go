@@ -171,10 +171,13 @@ func TestAuditorSampling(t *testing.T) {
 	a.close(nil)
 }
 
-// TestAuditorTrackedKeyBound: keys beyond MaxTrackedKeys are dropped, not
-// tracked without bound.
+// TestAuditorTrackedKeyBound: keys beyond the tracked-key bound are
+// dropped, not tracked without bound.
 func TestAuditorTrackedKeyBound(t *testing.T) {
-	a := testAuditor(AuditConfig{WindowOps: 4, MaxTrackedKeys: 2})
+	rt := newFreeRuntime()
+	a := newAuditor(AuditConfig{WindowOps: 4}.withDefaults(), rt)
+	a.maxKeys = 2
+	a.join = rt.spawn(a.run)
 	for k := 0; k < 8; k++ {
 		feed(a, fmt.Sprintf("k%d", k), 1, int64(2*k+1), int64(2*k+2),
 			Op{Kind: OpPut, Key: fmt.Sprintf("k%d", k), Val: "v"}, Result{OK: true})

@@ -70,60 +70,6 @@ func (t topology) workerIDs() []int {
 	return ids
 }
 
-// call is one client submission: a single op (DoOn) or a batch (DoBatchOn).
-type call []Op
-
-// workload tunes the generated client scripts.
-type workload struct {
-	keys    []string // key pool
-	hotFrac float64  // probability an op hits keys[0] (key skew)
-	casFrac float64  // probability of a cas (the rest split get/put)
-	ops     int      // ops per submitter
-	maxCall int      // max ops grouped into one client batch (1 = singles)
-}
-
-// genCalls generates one submitter's script. Values are globally unique
-// ("p<sub>v<j>") so every write is distinguishable to the checker.
-func (wl workload) genCalls(sub int, rng *rand.Rand) []call {
-	pick := func() Op {
-		key := wl.keys[0]
-		if rng.Float64() >= wl.hotFrac {
-			key = wl.keys[rng.IntN(len(wl.keys))]
-		}
-		switch {
-		case rng.Float64() < wl.casFrac:
-			// Old drawn from the values this run plausibly wrote; most cas
-			// attempts fail, which is fine — failed cas legality is checked
-			// too.
-			return Op{Kind: OpCAS, Key: key,
-				Old: fmt.Sprintf("p%dv%d", rng.IntN(4), rng.IntN(wl.ops)),
-				Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.ops))}
-		case rng.IntN(2) == 0:
-			return Op{Kind: OpGet, Key: key}
-		default:
-			return Op{Kind: OpPut, Key: key, Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.ops))}
-		}
-	}
-	var calls []call
-	remaining := wl.ops
-	for remaining > 0 {
-		n := 1
-		if wl.maxCall > 1 {
-			n = 1 + rng.IntN(wl.maxCall)
-			if n > remaining {
-				n = remaining
-			}
-		}
-		c := make(call, n)
-		for i := range c {
-			c[i] = pick()
-		}
-		calls = append(calls, c)
-		remaining -= n
-	}
-	return calls
-}
-
 // runState is the blackboard shared between a scenario's procs and its
 // post-run oracle: written only under the run's step token, read after
 // Execute.
@@ -256,7 +202,7 @@ type vscenario struct {
 	name   string
 	topo   topology
 	budget int64
-	wl     workload
+	wl     Workload
 	gen    sim.Generator // nil = sim.FairGen
 	mode   oracleMode
 	// drainAt, when > 0, makes the driver close the store once the run's
@@ -305,47 +251,47 @@ func serviceScenarios() []sim.Scenario {
 		{
 			name: "service:smoke", budget: 8192, mode: fairComplete,
 			topo: topology{subs: 2, shards: 1, workers: 2, queue: 8, batch: 4},
-			wl:   workload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.2, Ops: 5, MaxCall: 1},
 		},
 		{
 			name: "service:skew", budget: 8192, mode: fairComplete,
 			topo: topology{subs: 3, shards: 2, workers: 1, queue: 4, batch: 3},
-			wl:   workload{keys: []string{"hot", "w1", "w2", "w3"}, hotFrac: 0.6, casFrac: 0.45, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"hot", "w1", "w2", "w3"}, HotFrac: 0.6, CASFrac: 0.45, Ops: 5, MaxCall: 1},
 		},
 		{
 			name: "service:batch", budget: 8192, mode: fairComplete,
 			topo: topology{subs: 2, shards: 2, workers: 2, queue: 6, batch: 4},
-			wl:   workload{keys: []string{"a", "b", "c", "d"}, casFrac: 0.25, ops: 8, maxCall: 3},
+			wl:   Workload{Keys: []string{"a", "b", "c", "d"}, CASFrac: 0.25, Ops: 8, MaxCall: 3},
 		},
 		{
 			name: "service:saturate", budget: 16384, mode: fairComplete,
 			topo: topology{subs: 3, shards: 1, workers: 1, queue: 1, batch: 1},
-			wl:   workload{keys: []string{"a", "b"}, hotFrac: 0.5, casFrac: 0.2, ops: 4, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b"}, HotFrac: 0.5, CASFrac: 0.2, Ops: 4, MaxCall: 1},
 		},
 		{
 			name: "service:crash", budget: 8192, mode: safetyOnly,
 			topo: topology{subs: 2, shards: 1, workers: 2, queue: 4, batch: 4},
-			wl:   workload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 5, MaxCall: 1},
 		},
 		{
 			name: "service:stall", budget: 8192, mode: safetyOnly,
 			topo: topology{subs: 2, shards: 2, workers: 1, queue: 4, batch: 3},
-			wl:   workload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 5, MaxCall: 1},
 		},
 		{
 			name: "service:drain", budget: 8192, mode: drainComplete, drainAt: 600,
 			topo: topology{subs: 2, shards: 1, workers: 2, queue: 4, batch: 4},
-			wl:   workload{keys: []string{"a", "b", "c"}, casFrac: 0.2, ops: 8, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.2, Ops: 8, MaxCall: 1},
 		},
 		{
 			name: "service:audit-starve", budget: 8192, mode: submittersComplete,
 			topo: topology{subs: 2, shards: 1, workers: 1, queue: 4, batch: 4},
-			wl:   workload{keys: []string{"a", "b"}, casFrac: 0.2, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b"}, CASFrac: 0.2, Ops: 5, MaxCall: 1},
 		},
 		{
 			name: "service:canary", budget: 8192, mode: safetyOnly, canary: true,
 			topo: topology{subs: 1, shards: 1, workers: 1, queue: 4, batch: 2},
-			wl:   workload{keys: []string{"poison", "clean"}, hotFrac: 0.7, casFrac: 0, ops: 6, maxCall: 1},
+			wl:   Workload{Keys: []string{"poison", "clean"}, HotFrac: 0.7, CASFrac: 0, Ops: 6, MaxCall: 1},
 		},
 		{
 			// Config reloads land mid-sweep (MaxBatch, queue depth, audit
@@ -354,7 +300,7 @@ func serviceScenarios() []sim.Scenario {
 			// metric accounting must all survive the swaps.
 			name: "service:reload", budget: 16384, mode: fairComplete, reloads: 3,
 			topo: topology{subs: 2, shards: 2, workers: 2, queue: 6, batch: 4},
-			wl:   workload{keys: []string{"a", "b", "c", "d"}, casFrac: 0.25, ops: 8, maxCall: 2},
+			wl:   Workload{Keys: []string{"a", "b", "c", "d"}, CASFrac: 0.25, Ops: 8, MaxCall: 2},
 		},
 		{
 			// Injected worker crashes at the pre-commit / post-commit /
@@ -363,7 +309,7 @@ func serviceScenarios() []sim.Scenario {
 			name: "service:recover", budget: 24576, mode: recoverComplete,
 			supervise: true, maxRestarts: 3,
 			topo: topology{subs: 2, shards: 1, workers: 2, queue: 4, batch: 3, supers: 1, seats: 4},
-			wl:   workload{keys: []string{"a", "b", "c"}, casFrac: 0.25, ops: 5, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.25, Ops: 5, MaxCall: 1},
 		},
 		{
 			// An unlimited crash rule turns the shard's only slot into a
@@ -372,7 +318,7 @@ func serviceScenarios() []sim.Scenario {
 			name: "service:crash-loop", budget: 16384, mode: breakerTrips,
 			supervise: true, maxRestarts: 2,
 			topo: topology{subs: 2, shards: 1, workers: 1, queue: 4, batch: 1, supers: 1, seats: 2},
-			wl:   workload{keys: []string{"a", "b"}, casFrac: 0.2, ops: 4, maxCall: 1},
+			wl:   Workload{Keys: []string{"a", "b"}, CASFrac: 0.2, Ops: 4, MaxCall: 1},
 		},
 		{
 			// Deadline-bounded clients retrying with op IDs across injected
@@ -383,7 +329,7 @@ func serviceScenarios() []sim.Scenario {
 			supervise: true, maxRestarts: 4,
 			retry: &retryCfg{timeoutMin: 48, timeoutVar: 256, maxTries: 3},
 			topo:  topology{subs: 2, shards: 1, workers: 2, queue: 4, batch: 3, supers: 1, seats: 4},
-			wl:    workload{keys: []string{"a", "b", "c"}, casFrac: 0.3, ops: 4, maxCall: 1},
+			wl:    Workload{Keys: []string{"a", "b", "c"}, CASFrac: 0.3, Ops: 4, MaxCall: 1},
 		},
 		{
 			// Must-detect canary: dedup deliberately broken, so a retry of a
@@ -393,7 +339,7 @@ func serviceScenarios() []sim.Scenario {
 			supervise: true, maxRestarts: 4,
 			retry: &retryCfg{timeoutMin: 8, timeoutVar: 56, maxTries: 2},
 			topo:  topology{subs: 2, shards: 1, workers: 1, queue: 4, batch: 2, supers: 1, seats: 3},
-			wl:    workload{keys: []string{"a", "b"}, casFrac: 0.25, ops: 4, maxCall: 1},
+			wl:    Workload{Keys: []string{"a", "b"}, CASFrac: 0.25, Ops: 4, MaxCall: 1},
 		},
 	}
 	// Scenario-specific generators and fault plans that need the topology.
@@ -500,7 +446,7 @@ func (sc vscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 
 	st := &runState{}
 	for i := 0; i < topo.subs; i++ {
-		calls := sc.wl.genCalls(i, rng)
+		calls := sc.wl.GenCalls(i, rng)
 		if rc := sc.retry; rc != nil {
 			sub := i
 			timeout := rc.timeoutMin + rng.Int64N(rc.timeoutVar)
@@ -763,7 +709,7 @@ func dedupCanaryOracle(vr *VirtualRuntime, store *Store) []string {
 // DoTimeoutOn and retried (same op, same ID) up to maxTries times on
 // ErrDeadline, then abandoned. The state machine's dedup makes the retries
 // exactly-once; an abandoned op may still commit.
-func runRetrySubmitter(p *sched.Proc, store *Store, st *runState, sub int, calls []call, timeout int64, maxTries int) {
+func runRetrySubmitter(p *sched.Proc, store *Store, st *runState, sub int, calls [][]Op, timeout int64, maxTries int) {
 	seq := uint64(0)
 	for _, c := range calls {
 		for _, op := range c {
@@ -794,7 +740,7 @@ func runRetrySubmitter(p *sched.Proc, store *Store, st *runState, sub int, calls
 
 // runSubmitter plays one client script, accounting every attempted op.
 // On ErrClosed (the store drained mid-load) it stops cleanly.
-func runSubmitter(p *sched.Proc, store *Store, st *runState, calls []call) {
+func runSubmitter(p *sched.Proc, store *Store, st *runState, calls [][]Op) {
 	var lastPut map[string]string
 	for _, c := range calls {
 		st.generated += len(c)

@@ -21,7 +21,7 @@ func brokenServiceScenario() sim.Scenario {
 	sc := vscenario{
 		name: "test/service-broken", budget: 8192, mode: safetyOnly, rawCanary: true,
 		topo: topology{subs: 1, shards: 1, workers: 1, queue: 4, batch: 2},
-		wl:   workload{keys: []string{"poison", "clean"}, hotFrac: 0.7, casFrac: 0, ops: 6, maxCall: 1},
+		wl:   Workload{Keys: []string{"poison", "clean"}, HotFrac: 0.7, CASFrac: 0, Ops: 6, MaxCall: 1},
 	}
 	return sc.scenario()
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/sched"
 )
@@ -70,6 +72,60 @@ func NewVirtualRuntime(run *sched.Run, firstProc int) *VirtualRuntime {
 // procs of the same run.
 func NewVirtual(cfg Config, vr *VirtualRuntime) *Store {
 	return newStore(cfg, vr)
+}
+
+// Workload tunes the client scripts of the deterministic sims built on
+// NewVirtual, this package's and internal/cluster's.
+type Workload struct {
+	Keys    []string // key pool
+	HotFrac float64  // probability an op hits Keys[0] (key skew)
+	CASFrac float64  // probability of a cas (the rest split get/put)
+	Ops     int      // ops per submitter
+	MaxCall int      // max ops grouped into one client call (1 = singles)
+}
+
+// GenCalls generates one submitter's script: each inner slice is one client
+// call (len 1 = a single op, longer = a batch). Values are globally unique
+// ("p<sub>v<j>") so every write is distinguishable to the checker. The
+// script is a pure function of the workload, sub and rng's state.
+func (wl Workload) GenCalls(sub int, rng *rand.Rand) [][]Op {
+	pick := func() Op {
+		key := wl.Keys[0]
+		if rng.Float64() >= wl.HotFrac {
+			key = wl.Keys[rng.IntN(len(wl.Keys))]
+		}
+		switch {
+		case rng.Float64() < wl.CASFrac:
+			// Old drawn from the values this run plausibly wrote; most cas
+			// attempts fail, which is fine — failed cas legality is checked
+			// too.
+			return Op{Kind: OpCAS, Key: key,
+				Old: fmt.Sprintf("p%dv%d", rng.IntN(4), rng.IntN(wl.Ops)),
+				Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.Ops))}
+		case rng.IntN(2) == 0:
+			return Op{Kind: OpGet, Key: key}
+		default:
+			return Op{Kind: OpPut, Key: key, Val: fmt.Sprintf("p%dv%d", sub, rng.IntN(wl.Ops))}
+		}
+	}
+	var calls [][]Op
+	remaining := wl.Ops
+	for remaining > 0 {
+		n := 1
+		if wl.MaxCall > 1 {
+			n = 1 + rng.IntN(wl.MaxCall)
+			if n > remaining {
+				n = remaining
+			}
+		}
+		c := make([]Op, n)
+		for i := range c {
+			c[i] = pick()
+		}
+		calls = append(calls, c)
+		remaining -= n
+	}
+	return calls
 }
 
 // CheckHistory verifies the run's complete committed history after the

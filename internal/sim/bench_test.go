@@ -3,8 +3,7 @@
 //
 // BenchmarkSweep's ns/op is the cost of one seed swept across every
 // registered scenario; the runs/s metric is the aggregate run throughput at
-// each worker count (the scaling table recorded in BENCH_<n>.json by
-// scripts/bench.sh).
+// each worker count (the scaling table of EXPERIMENTS.md).
 //
 // Run with:
 //

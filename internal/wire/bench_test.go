@@ -14,8 +14,7 @@ import (
 
 // The codec benchmarks are the transport's regression discipline: encode
 // and decode must stay at 0 allocs/op (pinned hard by
-// TestWireCodecZeroAllocs and by benchgate against the BENCH_<n>.json
-// snapshot), exactly like the internal/sched step path.
+// TestWireCodecZeroAllocs), exactly like the internal/sched step path.
 
 var benchOp = service.Op{Kind: service.OpPut, Key: "k00042", Val: "put-123456", ID: 42}
 

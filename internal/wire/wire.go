@@ -24,8 +24,8 @@
 // server writer's bufio.Writer) and decoders are
 // cursor-style over the received frame with strings aliasing the frame
 // buffer — no reflection, no intermediate structs, 0 allocs/op on both
-// paths, held by benchgate exactly like the internal/sched step path. See
-// DecodeOp for the aliasing contract.
+// paths, held by TestWireCodecZeroAllocs exactly like the internal/sched
+// step path. See DecodeOp for the aliasing contract.
 package wire
 
 import (

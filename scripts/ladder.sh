@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# ladder.sh — run the serving ladder (bench/run.sh, the benchmark's command)
+# briefly and gate it on what a shared machine still measures exactly: each
+# workload for 1 s untraced, then one traced pass over all four. It fails
+# when a run fails its own checks ("correct":false or a non-zero exit) or
+# when a rung's allocs_per_op is above its budget. Timings are printed and
+# never compared: on a shared runner they say nothing about the code.
+#
+# Usage:   scripts/ladder.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+# Budgets in allocs/op, seed 1, 1 s windows. Measured on 2 vCPUs, 20 runs
+# each at GOMAXPROCS=2 and GOMAXPROCS=4 ("clean"), and 2 runs each with one
+# extra heap object per op planted in the service submit path ("planted").
+# Each budget sits between the two.
+#
+#   workload        budget  clean (P=2 | P=4)              planted
+budgets=(
+  "store-batch     0.35    0.136-0.176 | 0.151-0.170      1.14-1.16"
+  "wire-single     5.5     5.090-5.110 | 5.087-5.106      6.09-6.10"
+  "cluster-batch   3.5     2.74-3.03   | 2.76-3.08        5.69-5.86"
+  "cluster-single  52.5    50.19-51.02 | 51.08-51.37      53.77-54.28"
+)
+
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+fail=0
+
+# run <label> <bench/run.sh args...>: one run, its output streamed; a failed
+# check marks the ladder failed but the remaining rungs still run.
+run() {
+  local label=$1
+  shift
+  if ! bash bench/run.sh "$@" | tee "$log"; then
+    echo "ladder: $label: run exited non-zero" >&2
+    fail=1
+  elif grep -q '"correct":false' "$log" || ! grep -q '"correct":true' "$log"; then
+    echo "ladder: $label: results failed their checks" >&2
+    fail=1
+  fi
+}
+
+summary=()
+for row in "${budgets[@]}"; do
+  read -r w budget _ <<<"$row"
+  run "$w" --workload "$w" --seed 1 --seconds 1 --trace 0
+  got=$(tail -n 1 "$log" | sed -n 's/.*"allocs_per_op":{"value":\([^,}]*\).*/\1/p')
+  verdict=ok
+  if [ -z "$got" ]; then
+    verdict="FAIL (no allocs_per_op)"
+    fail=1
+  elif awk -v g="$got" -v b="$budget" 'BEGIN { exit !(g > b) }'; then
+    verdict=FAIL
+    fail=1
+  fi
+  summary+=("$(printf '%-15s allocs/op %-8.8s budget %-5s %s' "$w" "${got:-?}" "$budget" "$verdict")")
+done
+run traced --seed 1 --seconds 1 --trace 1
+
+echo "== ladder"
+printf '%s\n' "${summary[@]}"
+exit "$fail"
