@@ -221,32 +221,73 @@ const (
 )
 
 // message is one event-loop input: a decoded replication envelope (kind is
-// the wire opcode) or a local control message (kind ≥ 0x80). Messages are
-// immutable after send — the virtual transport delivers duplicates by
-// sharing the pointer.
+// the wire opcode) or a local control message (kind ≥ 0x80).
+//
+// Ownership: a message the loop receives, with every slice and string of
+// its rep, is valid only until handle returns. The free transport then
+// takes it back (Transport.release) and decodes a later frame into the same
+// message, payload buffer and slices. So a handler copies what it keeps,
+// into an opArena, whose memory is written once: onRoute the route's ops
+// and onAppend each appended entry's ops into the shard's, onDone the
+// result values into the front end's. A message handed to Transport.send is only
+// lent: the transport encodes or copies it before send returns, and the
+// node reuses it.
 type message struct {
 	kind byte
 	rep  wire.Rep
 	call *clientCall
+	// home is the free list release returns the message to; nil for
+	// messages that are never recycled (client calls, control messages,
+	// every virtual-mode message).
+	home *msgPool
+	// buf is the frame payload rep's strings alias (free-mode inbound).
+	buf []byte
+}
+
+// copyFrom makes m a copy of src that shares none of src's reused memory,
+// appending into m's own slices. Entries stay shared: log slots are
+// write-once, and a virtual frame must read what truncation leaves of them.
+func (m *message) copyFrom(src *message) {
+	r := m.rep
+	m.kind, m.call, m.rep = src.kind, src.call, src.rep
+	m.rep.Ops = append(r.Ops[:0], src.rep.Ops...)
+	m.rep.Results = append(r.Results[:0], src.rep.Results...)
+	m.rep.Acks = append(r.Acks[:0], src.rep.Acks...)
 }
 
 // clientCall is one client batch traversing the front end: ops in, index-
-// aligned results out. In free mode done is closed when the call is
-// answered (the caller blocks on it); in virtual mode the submitting proc
-// Parks on answered, which the event loop sets under the step token.
+// aligned results out. In free mode the caller blocks on done, which the
+// loop signals once per use; in virtual mode the submitting proc Parks on
+// answered, which the event loop sets under the step token.
+//
+// Free-mode calls are recycled (Node.getCall, putCall) once they succeed:
+// a call that failed may still have routes pending at the front end, and a
+// call abandoned on its deadline may still be answered, so neither is ever
+// reused.
 type clientCall struct {
 	ops       []service.Op
 	results   []service.Result
 	remaining int // routes not yet answered
 	err       error
 	answered  bool
-	done      chan struct{} // free mode only
+	done      chan struct{} // free mode only; 1-buffered, never closed
+	msg       message       // carries the call into the loop
+
+	// Do's one op and result, so a one-op call needs no slices of its own.
+	one    [1]service.Op
+	oneRes [1]service.Result
+	// The call's routes and their storage, reused with the call: each
+	// route's ops and positions are a window of rops and ridx, where each
+	// shard's ops lie together in call order (startCall).
+	routes []route
+	rops   []service.Op
+	ridx   []int
 }
 
 func (cc *clientCall) finish(err error) {
 	cc.err = err
 	cc.answered = true
 	if cc.done != nil {
-		close(cc.done)
+		cc.done <- struct{}{}
 	}
 }

@@ -157,7 +157,7 @@ func (n *Node) becomeOwner(p *sched.Proc, sr *shardRep) {
 	}
 	// The barrier: an empty entry in the new epoch. Its commit commits
 	// everything beneath it (checkCommit only counts own-epoch entries).
-	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.own.nextSeq, Epoch: sr.epoch}, nil)
+	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.own.nextSeq, Epoch: sr.epoch})
 	n.syncView(sr)
 }
 

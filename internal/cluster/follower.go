@@ -45,7 +45,9 @@ func (n *Node) heardOwner(p *sched.Proc, sr *shardRep, from NodeID, epoch uint64
 	return true
 }
 
-// onAppend takes a replicated suffix into the log — never into the store.
+// onAppend takes a replicated suffix into the log — never into the store —
+// copying each appended entry's ops into the shard's arena (the frame's are
+// recycled once handled).
 // Entries are checked one by one from the matched prefix up: one already
 // held extends the match, one held under another epoch is a deposed
 // owner's and makes way, with everything above it, for the owner's, and
@@ -64,6 +66,7 @@ func (n *Node) onAppend(p *sched.Proc, m *message) {
 		case ex == nil && e.Seq <= sr.base:
 			continue // below the log floor: committed everywhere
 		case ex == nil:
+			e.Ops = sr.arena.copyOps(e.Ops)
 			sr.appendLocal(e)
 		case ex.Epoch != e.Epoch:
 			if e.Seq <= sr.committed {
@@ -80,6 +83,7 @@ func (n *Node) onAppend(p *sched.Proc, m *message) {
 			// still share the old array.
 			keep := e.Seq - sr.base - 1
 			sr.entries = sr.entries[:keep:keep]
+			e.Ops = sr.arena.copyOps(e.Ops)
 			sr.appendLocal(e)
 		}
 		sr.match = max(sr.match, e.Seq)
@@ -125,26 +129,25 @@ func (n *Node) onStale(p *sched.Proc, m *message) {
 	}
 }
 
-// takeAcks collects the piggybacked follower acks owed to node to, up to
-// max, clearing their owed flags. Every outbound replication frame calls
-// this through sendRep, so an owed ack rides whatever traffic goes the
-// owner's way first.
-func (n *Node) takeAcks(to NodeID, max int) []wire.RepAck {
-	var acks []wire.RepAck
+// takeAcks appends the piggybacked follower acks owed to node to onto dst,
+// until dst holds wire.MaxRepAcks, clearing their owed flags. Every
+// outbound replication frame calls this through sendRep, so an owed ack
+// rides whatever traffic goes the owner's way first.
+func (n *Node) takeAcks(dst []wire.RepAck, to NodeID) []wire.RepAck {
 	for _, sr := range n.shards {
+		if len(dst) == wire.MaxRepAcks {
+			break
+		}
 		if !sr.ackOwed || sr.owner != to {
 			continue
 		}
 		sr.ackOwed = false
-		acks = append(acks, wire.RepAck{
+		dst = append(dst, wire.RepAck{
 			Kind: wire.AckAppended, Shard: uint16(sr.shard), Epoch: sr.epoch,
 			Frontier: sr.match, Last: sr.committed,
 		})
-		if len(acks) >= max {
-			break
-		}
 	}
-	return acks
+	return dst
 }
 
 // flushAcks sends a heartbeat to each owner still owed acks after the

@@ -18,6 +18,24 @@ type frontEnd struct {
 	nextReq   uint64
 	nextOpSeq uint64
 	due       []uint64 // resendDue's reused timed-out-route id buffer
+	// vals holds the result values onDone hands clients: copies, since an
+	// answer's frame is recycled once handled, in write-once chunks that
+	// no one overwrites while a client holds a value.
+	vals opArena
+	// startCall's scratch: each op's shard, and per shard its op count,
+	// its next position in the call's route storage, and its still-filling
+	// route (index+1 into the call's routes; 0 for none).
+	shardOf []int
+	count   []int
+	pos     []int
+	open    []int
+}
+
+func newFrontEnd(shards int) frontEnd {
+	return frontEnd{
+		routes: map[uint64]*route{}, owners: make([]NodeID, shards),
+		count: make([]int, shards), pos: make([]int, shards), open: make([]int, shards),
+	}
 }
 
 // route is one shard's slice of a client call, tracked by the front end
@@ -36,7 +54,10 @@ type route struct {
 }
 
 // startCall splits a client call per shard and routes each slice to its
-// owner.
+// owner. The routes live in the call (clientCall.routes, rops, ridx): a
+// first pass counts each shard's ops, so every shard gets one contiguous
+// run of the call's storage, sized up front, and its routes are windows of
+// that run.
 func (n *Node) startCall(p *sched.Proc, cc *clientCall) {
 	if !n.cfg.Frontend || n.stopping {
 		cc.finish(service.ErrClosed)
@@ -46,6 +67,19 @@ func (n *Node) startCall(p *sched.Proc, cc *clientCall) {
 		cc.finish(nil)
 		return
 	}
+	fe := &n.fe
+	fe.shardOf = fe.shardOf[:0]
+	for _, op := range cc.ops {
+		s := service.ShardIndex(op.Key, n.cfg.Shards)
+		fe.shardOf = append(fe.shardOf, s)
+		fe.count[s]++
+	}
+	at := 0
+	for s, c := range fe.count {
+		fe.pos[s], at = at, at+c
+	}
+	cc.rops = resize(cc.rops, len(cc.ops))
+	cc.ridx = resize(cc.ridx, len(cc.ops))
 	// Per shard, a call may split into several routes: each route's ops are
 	// bounded by encoded byte size (maxRouteBytes) and count (MaxBatchOps),
 	// so the route frame, the log entry batching it, and the append frame
@@ -53,9 +87,6 @@ func (n *Node) startCall(p *sched.Proc, cc *clientCall) {
 	// carries up to wire.MaxBatchOps ops whose payloads together can exceed
 	// maxRouteBytes, and it must never produce a frame the wire layer
 	// refuses, because refused frames retry identically forever.
-	fe := &n.fe
-	open := make([]*route, n.cfg.Shards) // the still-filling route per shard
-	var rts []*route
 	for i, op := range cc.ops {
 		if op.ID == 0 {
 			// Stamp an idempotency id so a failover retransmission can never
@@ -63,20 +94,26 @@ func (n *Node) startCall(p *sched.Proc, cc *clientCall) {
 			fe.nextOpSeq++
 			op.ID = (uint64(n.cfg.ID)+1)<<48 | fe.nextOpSeq
 		}
-		s := service.ShardIndex(op.Key, n.cfg.Shards)
+		s := fe.shardOf[i]
 		sz := wire.EncodedOpSize(op)
-		r := open[s]
-		if r == nil || len(r.ops) >= wire.MaxBatchOps || r.bytes+sz > maxRouteBytes {
-			r = &route{call: cc, shard: s}
-			open[s] = r
-			rts = append(rts, r)
+		k := fe.open[s] - 1
+		if k < 0 || len(cc.routes[k].ops) >= wire.MaxBatchOps || cc.routes[k].bytes+sz > maxRouteBytes {
+			at := fe.pos[s]
+			cc.routes = append(cc.routes, route{call: cc, shard: s, ops: cc.rops[at:at], idxs: cc.ridx[at:at]})
+			k = len(cc.routes) - 1
+			fe.open[s] = k + 1
 		}
-		r.ops = append(r.ops, op)
-		r.idxs = append(r.idxs, i)
+		r := &cc.routes[k]
+		cc.rops[fe.pos[s]], cc.ridx[fe.pos[s]] = op, i
+		fe.pos[s]++
+		r.ops, r.idxs = r.ops[:len(r.ops)+1], r.idxs[:len(r.idxs)+1]
 		r.bytes += sz
 	}
+	clear(fe.count)
+	clear(fe.open)
 	now := n.tr.now(p)
-	for _, r := range rts {
+	for k := range cc.routes {
+		r := &cc.routes[k]
 		cc.remaining++
 		fe.nextReq++
 		reqid := (uint64(n.cfg.ID)+1)<<48 | fe.nextReq
@@ -147,12 +184,13 @@ func (n *Node) failRoutes() {
 	}
 }
 
-// onDone merges one answer chunk into its route and completes the route
-// once every result has arrived. Seq carries the chunk's first result
-// index and Frontier the route's total result count (docs/PROTOCOL.md
-// §5.2); the common small answer is a single chunk covering everything.
-// Chunks are idempotent by index, so duplicated frames and the full
-// resend after a route retransmission merge cleanly.
+// onDone merges one answer chunk into its route, copying the result values
+// into fe.vals, and completes the route once every result has arrived. Seq
+// carries the chunk's first result index and Frontier the route's total
+// result count (docs/PROTOCOL.md §5.2); the common small answer is a single
+// chunk covering everything, which needs no got bitmap. Chunks are
+// idempotent by index, so duplicated frames and the full resend after a
+// route retransmission merge cleanly.
 func (n *Node) onDone(_ *sched.Proc, m *message) {
 	r, ok := n.fe.routes[m.rep.ReqID]
 	if !ok {
@@ -169,14 +207,24 @@ func (n *Node) onDone(_ *sched.Proc, m *message) {
 		cc.finish(errors.New("cluster: misaligned route results"))
 		return
 	}
-	if r.got == nil {
-		r.got = make([]bool, len(r.ops))
-	}
-	for i, res := range m.rep.Results {
-		cc.results[r.idxs[off+i]] = res
-		if !r.got[off+i] {
-			r.got[off+i] = true
-			r.recvd++
+	if r.got == nil && off == 0 && len(m.rep.Results) == total {
+		// The common answer: one chunk covers the route.
+		for i, res := range m.rep.Results {
+			res.Val = n.fe.vals.str(res.Val)
+			cc.results[r.idxs[i]] = res
+		}
+		r.recvd = total
+	} else {
+		if r.got == nil {
+			r.got = make([]bool, len(r.ops))
+		}
+		for i, res := range m.rep.Results {
+			res.Val = n.fe.vals.str(res.Val)
+			cc.results[r.idxs[off+i]] = res
+			if !r.got[off+i] {
+				r.got[off+i] = true
+				r.recvd++
+			}
 		}
 	}
 	if r.recvd < len(r.ops) {

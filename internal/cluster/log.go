@@ -48,6 +48,11 @@ type shardRep struct {
 	// candidacies included): one vote per epoch.
 	votedEpoch uint64
 
+	// arena holds the ops of the routes queued here and of the entries
+	// this replica keeps: copies of what frames carried (message's
+	// ownership rule), in write-once chunks.
+	arena opArena
+
 	own  *ownerState // non-nil exactly while this node owns the shard
 	cand *candidacy  // non-nil exactly while this node campaigns for it
 }

@@ -91,6 +91,16 @@ type Node struct {
 	// the cross-runtime tests install it; production leaves it nil.
 	rec [][]wire.RepEntry
 
+	// sendRep's scratch: the frame it lends the transport, and the acks
+	// section takeAcks fills. sendHeartbeats builds its commit list in beats.
+	out   message
+	acks  [wire.MaxRepAcks]wire.RepAck
+	beats []wire.RepAck
+
+	// Answered free-mode calls, ready for reuse (getCall, putCall).
+	cmu   sync.Mutex
+	calls []*clientCall
+
 	// Off-loop snapshot for Status, refreshed by the loop.
 	smu       sync.Mutex
 	view      []ShardStatus
@@ -143,7 +153,7 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 		cfg:         cfg,
 		tr:          tr,
 		quorum:      cfg.quorum(),
-		fe:          frontEnd{routes: map[uint64]*route{}, owners: make([]NodeID, cfg.Shards)},
+		fe:          newFrontEnd(cfg.Shards),
 		lastHeard:   make([]int64, cfg.Nodes),
 		view:        make([]ShardStatus, cfg.Shards),
 		loopDone:    make(chan struct{}),
@@ -256,11 +266,15 @@ func (n *Node) syncView(sr *shardRep) {
 
 // Do routes one op through the cluster (front end role required).
 func (n *Node) Do(ctx context.Context, op service.Op) (service.Result, error) {
-	res, err := n.DoBatch(ctx, []service.Op{op})
-	if err != nil {
+	cc := n.getCall()
+	cc.one[0] = op
+	cc.ops, cc.results = cc.one[:], cc.oneRes[:]
+	if err := n.call(ctx, cc); err != nil {
 		return service.Result{}, err
 	}
-	return res[0], nil
+	res := cc.oneRes[0]
+	n.putCall(cc)
+	return res, nil
 }
 
 // DoBatch routes a batch: ops are split per shard, routed to each shard's
@@ -268,25 +282,74 @@ func (n *Node) Do(ctx context.Context, op service.Op) (service.Result, error) {
 // It blocks until every split has been answered (failover included — the
 // front end retransmits until a new owner emerges) or ctx is done.
 func (n *Node) DoBatch(ctx context.Context, ops []service.Op) ([]service.Result, error) {
-	cc := &clientCall{ops: ops, results: make([]service.Result, len(ops)), done: make(chan struct{})}
-	if n.closed.Load() || !n.tr.inject(nil, &message{kind: kindClient, call: cc}) {
-		return nil, service.ErrClosed // closed, or lost the race with shutdown's inbox drain
+	cc := n.getCall()
+	cc.ops, cc.results = ops, make([]service.Result, len(ops))
+	if err := n.call(ctx, cc); err != nil {
+		return nil, err
+	}
+	res := cc.results
+	n.putCall(cc)
+	return res, nil
+}
+
+// call injects a free-mode call into the loop and waits for its answer.
+func (n *Node) call(ctx context.Context, cc *clientCall) error {
+	if n.closed.Load() || !n.tr.inject(nil, &cc.msg) {
+		return service.ErrClosed // closed, or lost the race with shutdown's inbox drain
 	}
 	select {
 	case <-cc.done:
-		return cc.results, cc.err
+		return cc.err
 	case <-ctx.Done():
 		// The call stays routed; like a crashed client, its ops may still
-		// commit (idempotently, under their stamped ids).
-		return nil, service.ErrDeadline
+		// commit (idempotently, under their stamped ids). The loop may still
+		// answer it, so it is never reused.
+		return service.ErrDeadline
 	}
+}
+
+// getCall takes a free-mode call record, a recycled one when available.
+func (n *Node) getCall() *clientCall {
+	n.cmu.Lock()
+	defer n.cmu.Unlock()
+	if k := len(n.calls); k > 0 {
+		cc := n.calls[k-1]
+		n.calls = n.calls[:k-1]
+		return cc
+	}
+	cc := &clientCall{done: make(chan struct{}, 1)}
+	cc.msg = message{kind: kindClient, call: cc}
+	return cc
+}
+
+// maxKeptCallOps bounds the route storage a recycled call keeps: one
+// oversized batch is left to the garbage collector.
+const maxKeptCallOps = 4096
+
+// putCall returns a call that succeeded for reuse. Its routes have all been
+// answered and forgotten by the front end, and the caller holds nothing of
+// it but values already copied out.
+func (n *Node) putCall(cc *clientCall) {
+	if cap(cc.rops) > maxKeptCallOps {
+		return
+	}
+	clear(cc.rops)
+	clear(cc.routes)
+	*cc = clientCall{
+		done: cc.done, msg: cc.msg,
+		routes: cc.routes[:0], rops: cc.rops[:0], ridx: cc.ridx[:0],
+	}
+	n.cmu.Lock()
+	n.calls = append(n.calls, cc)
+	n.cmu.Unlock()
 }
 
 // DoBatchOn is DoBatch for a virtual-mode proc: it parks p until the call
 // is answered.
 func (n *Node) DoBatchOn(p *sched.Proc, ops []service.Op) ([]service.Result, error) {
 	cc := &clientCall{ops: ops, results: make([]service.Result, len(ops))}
-	if n.closed.Load() || !n.tr.inject(p, &message{kind: kindClient, call: cc}) {
+	cc.msg = message{kind: kindClient, call: cc}
+	if n.closed.Load() || !n.tr.inject(p, &cc.msg) {
 		return nil, service.ErrClosed // closed, or lost the race with shutdown's inbox drain
 	}
 	p.Park(func() bool { return cc.answered })
@@ -343,6 +406,7 @@ func (n *Node) Run(p *sched.Proc) {
 		m, ok := n.tr.recv(p, n.tr.now(p)+n.cfg.TickEvery)
 		if ok {
 			n.handle(p, m)
+			n.tr.release(m)
 			// Drain the rest of the burst before ticking: everything the
 			// burst makes us send coalesces into one flush below, and the
 			// acks it leaves owed fold into that same flush's frames.
@@ -351,6 +415,7 @@ func (n *Node) Run(p *sched.Proc) {
 					break
 				}
 				n.handle(p, m)
+				n.tr.release(m)
 			}
 		}
 		n.tick(p)
@@ -476,21 +541,22 @@ func (n *Node) tick(p *sched.Proc) {
 }
 
 // sendRep stamps From, piggybacks any acks owed to the destination, and
-// counts the send.
+// counts the send. The frame is built in the node's scratch (out, acks),
+// which the transport encodes or copies before send returns.
 func (n *Node) sendRep(p *sched.Proc, to NodeID, kind byte, rep wire.Rep) {
-	rep.From = uint16(n.cfg.ID)
+	m := &n.out
+	m.kind, m.rep = kind, rep
+	m.rep.From = uint16(n.cfg.ID)
 	if wire.IsRepOpcode(kind) && len(rep.Acks) < wire.MaxRepAcks {
-		if extra := n.takeAcks(to, wire.MaxRepAcks-len(rep.Acks)); len(extra) > 0 {
-			// Fresh slice: rep.Acks may be a window into a shared array
-			// (sendHeartbeats chunks one keepalive list across frames).
-			acks := make([]wire.RepAck, 0, len(rep.Acks)+len(extra))
-			rep.Acks = append(append(acks, rep.Acks...), extra...)
-		}
+		// rep.Acks may be a window into sendHeartbeats' list: the owed acks
+		// extend a copy of it.
+		m.rep.Acks = n.takeAcks(append(n.acks[:0], rep.Acks...), to)
 	}
 	if c := n.cMsgSent[kind&0x0F]; c != nil && wire.IsRepOpcode(kind) {
 		c.Inc()
 	}
-	n.tr.send(p, to, &message{kind: kind, rep: rep})
+	n.tr.send(p, to, m)
+	m.rep = wire.Rep{}
 }
 
 // sendHeartbeats broadcasts the node-level liveness beat. Toward fellow
@@ -498,7 +564,7 @@ func (n *Node) sendRep(p *sched.Proc, to NodeID, kind byte, rep wire.Rep) {
 // — the committed-frontier carrier that used to be a per-shard empty
 // append, now amortized over the heartbeat it rode next to anyway.
 func (n *Node) sendHeartbeats(p *sched.Proc) {
-	var commits []wire.RepAck
+	commits := n.beats[:0]
 	for _, sr := range n.shards {
 		if sr.own != nil {
 			commits = append(commits, wire.RepAck{
@@ -507,6 +573,7 @@ func (n *Node) sendHeartbeats(p *sched.Proc) {
 			})
 		}
 	}
+	n.beats = commits
 	for i := 0; i < n.cfg.Nodes; i++ {
 		to := NodeID(i)
 		if to == n.cfg.ID {

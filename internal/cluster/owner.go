@@ -33,9 +33,9 @@ const (
 // retry idempotent. The per-node slices are indexed by NodeID.
 type ownerState struct {
 	nextSeq  uint64
-	pend     []pendRoute
+	pend     fifo[pendRoute]
 	pendSet  map[uint64]struct{}
-	inflight []inflightEntry // unanswered window, ascending seq
+	inflight window
 	acked    []uint64
 	// ackedCommit is what each follower reports committed; the owner's log
 	// floor never passes a live follower's (see checkCommit).
@@ -67,10 +67,52 @@ type inflightEntry struct {
 	routes []pendRoute
 }
 
+// window is the owner's pipelined window of unanswered entries, oldest
+// first: a ring of MaxInflightEntries slots, so an entry's routes list
+// reuses the array of the entry that held its slot before.
+type window struct {
+	slots   []inflightEntry
+	head, n int
+}
+
+// next returns the slot after the window's tail with its routes emptied,
+// for pump to fill before push seals it. The window must not be full.
+func (w *window) next() *inflightEntry {
+	e := &w.slots[(w.head+w.n)%len(w.slots)]
+	e.routes = e.routes[:0]
+	return e
+}
+
+// push seals the slot after the tail as the entry seq, with the routes
+// pump put there (none for a new owner's barrier).
+func (w *window) push(seq uint64) {
+	w.slots[(w.head+w.n)%len(w.slots)].seq = seq
+	w.n++
+}
+
+// front returns the oldest unanswered entry, nil when there is none.
+func (w *window) front() *inflightEntry {
+	if w.n == 0 {
+		return nil
+	}
+	return &w.slots[w.head]
+}
+
+// pop drops the oldest entry, keeping its routes array for the slot's next
+// entry.
+func (w *window) pop() {
+	e := &w.slots[w.head]
+	clear(e.routes)
+	e.routes = e.routes[:0]
+	w.head = (w.head + 1) % len(w.slots)
+	w.n--
+}
+
 // newOwnerState is the state of an owner whose next log entry is nextSeq.
 func (n *Node) newOwnerState(nextSeq uint64, now int64) *ownerState {
 	return &ownerState{
 		nextSeq: nextSeq, pendSet: map[uint64]struct{}{}, lastRetx: now,
+		inflight:    window{slots: make([]inflightEntry, n.cfg.MaxInflightEntries)},
 		acked:       make([]uint64, n.cfg.Nodes),
 		ackedCommit: make([]uint64, n.cfg.Nodes),
 		sentTo:      make([]uint64, n.cfg.Nodes),
@@ -101,8 +143,9 @@ func (n *Node) ownerTick(p *sched.Proc, sr *shardRep, now int64) {
 	}
 }
 
-// onRoute queues a client route at the owner (or redirects the front end
-// to where it believes the owner is).
+// onRoute queues a client route at the owner, with a copy of its ops in
+// the shard's arena (the frame's are recycled once handled), or redirects
+// the front end to where it believes the owner is.
 func (n *Node) onRoute(p *sched.Proc, m *message) {
 	sr := n.shards[m.rep.Shard]
 	from := NodeID(m.rep.From)
@@ -129,8 +172,8 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 		return
 	}
 	o.pendSet[m.rep.ReqID] = struct{}{}
-	o.pend = append(o.pend, pendRoute{
-		from: from, reqid: m.rep.ReqID, ops: m.rep.Ops, bytes: bytes, at: n.tr.now(p),
+	o.pend.push(pendRoute{
+		from: from, reqid: m.rep.ReqID, ops: sr.arena.copyOps(m.rep.Ops), bytes: bytes, at: n.tr.now(p),
 	})
 	n.pump(p, sr)
 }
@@ -144,48 +187,53 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 // BatchWindow + TickEvery.
 func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 	o := sr.own
-	for len(o.inflight) < n.cfg.MaxInflightEntries && len(o.pend) > 0 && !n.stopping {
+	for o.inflight.n < n.cfg.MaxInflightEntries && o.pend.len() > 0 && !n.stopping {
 		if n.cfg.BatchWindow > 0 {
 			total := 0
-			for _, r := range o.pend {
-				total += len(r.ops)
+			for i := 0; i < o.pend.len(); i++ {
+				total += len(o.pend.at(i).ops)
 			}
-			if total < n.maxEntryOps && n.tr.now(p)-o.pend[0].at < n.cfg.BatchWindow {
+			if total < n.maxEntryOps && n.tr.now(p)-o.pend.at(0).at < n.cfg.BatchWindow {
 				return // let the batch fill; the oldest route bounds the wait
 			}
 		}
-		var batch []pendRoute
+		e := o.inflight.next()
 		total, bytes := 0, entryOverheadBytes
-		for len(o.pend) > 0 {
-			r := o.pend[0]
-			if len(batch) > 0 && (total+len(r.ops) > n.maxEntryOps || bytes+r.bytes > maxEntryBytes) {
+		for o.pend.len() > 0 {
+			r := o.pend.at(0)
+			if len(e.routes) > 0 && (total+len(r.ops) > n.maxEntryOps || bytes+r.bytes > maxEntryBytes) {
 				break
 			}
-			batch = append(batch, r)
 			total += len(r.ops)
 			bytes += r.bytes
-			o.pend = o.pend[1:]
+			e.routes = append(e.routes, o.pend.pop())
 			if total >= n.maxEntryOps {
 				break
 			}
 		}
-		ops := make([]service.Op, 0, total)
-		for _, r := range batch {
-			ops = append(ops, r.ops...)
+		// A one-route entry's ops are the route's own copy; a longer batch
+		// gets fresh arena slots.
+		ops := e.routes[0].ops
+		if len(e.routes) > 1 {
+			ops = sr.arena.slots(total)[:0]
+			for _, r := range e.routes {
+				ops = append(ops, r.ops...)
+			}
 		}
-		n.appendEntry(p, sr, wire.RepEntry{Seq: o.nextSeq, Epoch: sr.epoch, Ops: ops}, batch)
+		n.appendEntry(p, sr, wire.RepEntry{Seq: o.nextSeq, Epoch: sr.epoch, Ops: ops})
 	}
 }
 
-// appendEntry installs the owner's next log entry and streams the new
-// suffix to followers that aren't already being streamed it.
-func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, batch []pendRoute) {
+// appendEntry installs the owner's next log entry, sealing the window's next
+// slot over it, and streams the new suffix to followers that aren't already
+// being streamed it.
+func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry) {
 	o := sr.own
 	sr.appendLocal(e)
 	o.nextSeq = e.Seq + 1
 	sr.match = sr.frontier
 	o.acked[n.cfg.ID] = sr.frontier
-	o.inflight = append(o.inflight, inflightEntry{seq: e.Seq, routes: batch})
+	o.inflight.push(e.Seq)
 	for _, f := range n.cfg.StoreNodes {
 		if f != n.cfg.ID && o.sendFrom(f) < sr.frontier {
 			n.sendSuffix(p, sr, f)
@@ -300,16 +348,16 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 // which case its clients retransmit.
 func (n *Node) answer(p *sched.Proc, sr *shardRep, seq uint64, results []service.Result) {
 	o := sr.own
-	if len(o.inflight) == 0 || o.inflight[0].seq != seq {
+	e := o.inflight.front()
+	if e == nil || e.seq != seq {
 		return
 	}
-	for _, r := range o.inflight[0].routes {
+	for _, r := range e.routes {
 		delete(o.pendSet, r.reqid)
 		n.sendDone(p, sr.shard, r.from, r.reqid, results[:len(r.ops)])
 		results = results[len(r.ops):]
 	}
-	o.inflight[0] = inflightEntry{}
-	o.inflight = o.inflight[1:]
+	o.inflight.pop()
 }
 
 // sendDone answers one route, chunking the results so every frame stays

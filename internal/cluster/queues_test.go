@@ -36,7 +36,7 @@ func TestInboxKeepsOrderAndStopsGrowing(t *testing.T) {
 			pop()
 			pop()
 		}
-		if c := cap(in.q); c > 16 {
+		if c := cap(in.q.q); c > 16 {
 			t.Fatalf("array grew to %d slots under a standing backlog of %d", c, backlog)
 		}
 		for i := 0; i < backlog; i++ {

@@ -18,6 +18,8 @@ type Transport interface {
 	// connection failure, the virtual transport drops, delays, duplicates
 	// or partitions by schedule decision. Self-sends loop back through the
 	// inbox (reliably), so broadcast code needs no self special-case.
+	// m is only lent: send encodes or copies it before it returns, and the
+	// node reuses it for its next send.
 	send(p *sched.Proc, to NodeID, m *message)
 	// inject enqueues a local control or client message into this node's
 	// own inbox, reliably and fault-free. In free mode it is safe from any
@@ -34,6 +36,11 @@ type Transport interface {
 	// so piggybacked acks and coalesced frames amortize across a whole
 	// burst instead of one message.
 	tryRecv(p *sched.Proc) (m *message, ok bool)
+	// release hands back a received message once handle is done with it
+	// (see message's ownership rule). The free transport recycles it for a
+	// later frame or self-send; the virtual transport does nothing, since
+	// it delivers duplicates by sharing the pointer.
+	release(m *message)
 	// flush pushes out every send buffered since the last flush. Sends
 	// coalesce per destination between flushes: the free transport writes
 	// a peer's whole burst as one syscall, the virtual transport gives it

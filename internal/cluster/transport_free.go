@@ -66,6 +66,7 @@ type FreeTransport struct {
 	lis   net.Listener
 	peers []*freePeer
 	in    inbox
+	loop  msgPool     // self-sends' messages
 	timer *time.Timer // recv's reused wakeup timer (event-loop goroutine only)
 
 	// drops is wired in by Node.New after construction; the accept and
@@ -127,10 +128,18 @@ func (ft *FreeTransport) Addr() net.Addr { return ft.lis.Addr() }
 
 func (ft *FreeTransport) send(_ *sched.Proc, to NodeID, m *message) {
 	if to == ft.self {
-		ft.in.push(m)
+		own := ft.loop.get()
+		own.copyFrom(m)
+		ft.in.push(own)
 		return
 	}
 	ft.peers[to].send(m)
+}
+
+func (ft *FreeTransport) release(m *message) {
+	if m.home != nil {
+		m.home.put(m)
+	}
 }
 
 func (ft *FreeTransport) inject(_ *sched.Proc, m *message) bool { return ft.in.push(m) }
@@ -233,13 +242,18 @@ func (ft *FreeTransport) acceptLoop() {
 
 // serveInbound reads one peer's frames: replication envelopes go to the
 // inbox, ping requests are answered in place (this is the server half of
-// the peer's liveness probe).
+// the peer's liveness probe). Each frame is read into the payload buffer of
+// a message from the connection's free list and decoded into that
+// message's rep, reusing both; the event loop hands the message back once
+// it has handled it, so a payload is never overwritten while a decoded
+// string aliases it.
 func (ft *FreeTransport) serveInbound(c net.Conn) {
 	defer c.Close()
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	var hdr, pong [wire.HeaderSize]byte
+	var pool msgPool
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
 			return
@@ -249,28 +263,25 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 			ft.dropCtrs().inc(dropBadHeader, 1)
 			return
 		}
-		// Fresh buffer on purpose: decoded ops alias it and flow into logs
-		// and state machines (see wire.DecodeRep's contract).
-		var payload []byte
-		if h.Len > 0 {
-			payload = make([]byte, h.Len)
-			if _, err := io.ReadFull(c, payload); err != nil {
-				return
-			}
+		m := pool.get()
+		m.buf = resize(m.buf, int(h.Len))
+		if _, err := io.ReadFull(c, m.buf); err != nil {
+			return
 		}
 		switch {
 		case h.Opcode == wire.OpcodePing && !h.IsResp():
+			pool.put(m)
 			if _, err := c.Write(wire.AppendEmptyFrame(pong[:0], wire.OpcodePing, wire.FlagResp, h.ReqID)); err != nil {
 				return
 			}
 		case wire.IsRepOpcode(h.Opcode):
-			rep, err := wire.DecodeRep(payload)
-			if err != nil {
+			if err := wire.DecodeRepInto(&m.rep, m.buf); err != nil {
 				ft.dropCtrs().inc(dropBadRep, 1)
 				ft.cfg.Logf("cluster: bad rep frame from %s: %v", c.RemoteAddr(), err)
 				return
 			}
-			ft.in.push(&message{kind: h.Opcode, rep: rep})
+			m.kind = h.Opcode
+			ft.in.push(m)
 		default:
 			ft.dropCtrs().inc(dropBadOpcode, 1)
 			ft.cfg.Logf("cluster: unexpected opcode 0x%02x from %s", h.Opcode, c.RemoteAddr())
@@ -458,14 +469,12 @@ func (p *freePeer) close() {
 
 // inbox is the unbounded local delivery queue: pushes never block or drop
 // (self-sends and client injections must be reliable) until closeAndDrain
-// seals it at shutdown, pops support the event loop's deadline.
+// seals it at shutdown, pops support the event loop's deadline. The queue
+// reuses its array (fifo), so a steady push/pop stream stops allocating
+// once the array fits a burst.
 type inbox struct {
-	mu sync.Mutex
-	// q[head:] is the queue. Pops advance head and the array is reused from
-	// its start each time the queue drains, so a steady push/pop stream
-	// stops allocating once the array fits a burst.
-	q      []*message
-	head   int
+	mu     sync.Mutex
+	q      fifo[*message]
 	closed bool
 	notify chan struct{} // cap 1
 }
@@ -476,14 +485,7 @@ func (in *inbox) push(m *message) bool {
 		in.mu.Unlock()
 		return false
 	}
-	if len(in.q) == cap(in.q) && in.head >= len(in.q)/2 {
-		// A queue that never quite drains must not grow with the messages
-		// that passed through it: slide the backlog over the popped half.
-		n := copy(in.q, in.q[in.head:])
-		clear(in.q[n:])
-		in.q, in.head = in.q[:n], 0
-	}
-	in.q = append(in.q, m)
+	in.q.push(m)
 	in.mu.Unlock()
 	select {
 	case in.notify <- struct{}{}:
@@ -499,22 +501,16 @@ func (in *inbox) closeAndDrain() []*message {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.closed = true
-	q := in.q[in.head:]
-	in.q, in.head = nil, 0
+	q := in.q.q[in.q.head:]
+	in.q = fifo[*message]{}
 	return q
 }
 
 func (in *inbox) tryPop() *message {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.head == len(in.q) {
+	if in.q.len() == 0 {
 		return nil
 	}
-	m := in.q[in.head]
-	in.q[in.head] = nil
-	in.head++
-	if in.head == len(in.q) {
-		in.q, in.head = in.q[:0], 0
-	}
-	return m
+	return in.q.pop()
 }

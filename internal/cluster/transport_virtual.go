@@ -130,9 +130,11 @@ func (ep *vEndpoint) insert(at int64, m *message) {
 	ep.q[i] = d
 }
 
-// send buffers the message for the next flush; self-sends bypass the
-// buffer (a node's loopback is memory, not network) with unit delay.
-func (ep *vEndpoint) send(p *sched.Proc, to NodeID, m *message) {
+// send buffers a copy of the message for the next flush; self-sends bypass
+// the buffer (a node's loopback is memory, not network) with unit delay.
+func (ep *vEndpoint) send(p *sched.Proc, to NodeID, lent *message) {
+	m := &message{}
+	m.copyFrom(lent)
 	if to == ep.id {
 		ep.net.eps[to].insert(p.Now()+1, m)
 		return
@@ -243,6 +245,8 @@ func (ep *vEndpoint) tryRecv(p *sched.Proc) (*message, bool) {
 	}
 	return nil, false
 }
+
+func (ep *vEndpoint) release(*message) {}
 
 func (ep *vEndpoint) now(p *sched.Proc) int64 { return p.Now() }
 

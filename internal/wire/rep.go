@@ -206,13 +206,27 @@ func AppendRepFrame(dst []byte, opcode byte, r *Rep) ([]byte, error) {
 	return endFrame(dst, start), nil
 }
 
-// DecodeRep decodes a whole envelope payload. Strings alias b (see
-// DecodeOp's contract); the payload must be exactly consumed — trailing
-// bytes are ErrBadFrame.
+// DecodeRep decodes a whole envelope payload into a fresh Rep: DecodeRepInto
+// over the zero value.
 func DecodeRep(b []byte) (Rep, error) {
 	var r Rep
+	if err := DecodeRepInto(&r, b); err != nil {
+		return Rep{}, err
+	}
+	return r, nil
+}
+
+// DecodeRepInto decodes a whole envelope payload into r, reusing r's
+// slices: every section is resliced to zero and appended to, each entry's
+// ops included, so a Rep decoded into frame after frame stops allocating
+// once its slices fit the frames it sees. Decoded into the zero Rep, empty
+// sections stay nil. Strings alias b (see DecodeOp's contract): a caller
+// that recycles b must copy what it keeps of r before it does. The payload
+// must be exactly consumed — trailing bytes are ErrBadFrame. On error r
+// holds a partial decode.
+func DecodeRepInto(r *Rep, b []byte) error {
 	if len(b) < repPreambleSize {
-		return r, ErrTruncated
+		return ErrTruncated
 	}
 	r.From = getU16(b[0:])
 	r.Peer = getU16(b[2:])
@@ -223,113 +237,115 @@ func DecodeRep(b []byte) (Rep, error) {
 	r.ReqID = getU64(b[30:])
 	i := repPreambleSize
 	var err error
-	if r.Ops, i, err = decOps(b, i); err != nil {
-		return Rep{}, err
+	if r.Ops, i, err = decOps(r.Ops[:0], b, i); err != nil {
+		return err
 	}
-	if r.Results, i, err = decResults(b, i); err != nil {
-		return Rep{}, err
+	if r.Results, i, err = decResults(r.Results[:0], b, i); err != nil {
+		return err
 	}
 	if len(b)-i < 2 {
-		return Rep{}, ErrTruncated
+		return ErrTruncated
 	}
 	nent := int(getU16(b[i:]))
 	i += 2
 	if nent > MaxRepEntries {
-		return Rep{}, ErrBadFrame
+		return ErrBadFrame
 	}
-	if nent > 0 {
-		r.Entries = make([]RepEntry, nent)
-		for k := 0; k < nent; k++ {
-			if len(b)-i < 16 {
-				return Rep{}, ErrTruncated
-			}
-			r.Entries[k].Seq = getU64(b[i:])
-			r.Entries[k].Epoch = getU64(b[i+8:])
-			i += 16
-			if r.Entries[k].Ops, i, err = decOps(b, i); err != nil {
-				return Rep{}, err
-			}
+	r.Entries = reuse(r.Entries, nent)
+	for k := 0; k < nent; k++ {
+		if len(b)-i < 16 {
+			return ErrTruncated
+		}
+		r.Entries = r.Entries[:k+1]
+		e := &r.Entries[k]
+		e.Seq = getU64(b[i:])
+		e.Epoch = getU64(b[i+8:])
+		i += 16
+		if e.Ops, i, err = decOps(e.Ops[:0], b, i); err != nil {
+			return err
 		}
 	}
 	if len(b)-i < 2 {
-		return Rep{}, ErrTruncated
+		return ErrTruncated
 	}
 	nacks := int(getU16(b[i:]))
 	i += 2
 	if nacks > MaxRepAcks {
-		return Rep{}, ErrBadFrame
+		return ErrBadFrame
 	}
-	if nacks > 0 {
-		r.Acks = make([]RepAck, nacks)
-		for k := 0; k < nacks; k++ {
-			if len(b)-i < EncodedAckSize {
-				return Rep{}, ErrTruncated
-			}
-			r.Acks[k] = RepAck{
-				Kind:     b[i],
-				Shard:    getU16(b[i+1:]),
-				Epoch:    getU64(b[i+3:]),
-				Frontier: getU64(b[i+11:]),
-				Last:     getU64(b[i+19:]),
-			}
-			i += EncodedAckSize
-		}
+	if len(b)-i < nacks*EncodedAckSize {
+		return ErrTruncated
+	}
+	r.Acks = reuse(r.Acks, nacks)
+	for k := 0; k < nacks; k++ {
+		r.Acks = append(r.Acks, RepAck{
+			Kind:     b[i],
+			Shard:    getU16(b[i+1:]),
+			Epoch:    getU64(b[i+3:]),
+			Frontier: getU64(b[i+11:]),
+			Last:     getU64(b[i+19:]),
+		})
+		i += EncodedAckSize
 	}
 	if i != len(b) {
-		return Rep{}, ErrBadFrame
+		return ErrBadFrame
 	}
-	return r, nil
+	return nil
 }
 
-// decOps decodes one §3.3 counted op section starting at b[i], returning
-// the ops (nil when the count is zero) and the cursor past the section.
-func decOps(b []byte, i int) ([]service.Op, int, error) {
+// reuse returns s emptied, with room for n elements: s's own array when it
+// has the room (or n is 0), else a new one of exactly n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// decOps decodes one §3.3 counted op section starting at b[i], appending
+// the ops to dst (see reuse), and returns the cursor past the section.
+func decOps(dst []service.Op, b []byte, i int) ([]service.Op, int, error) {
 	if len(b)-i < 2 {
-		return nil, 0, ErrTruncated
+		return dst, 0, ErrTruncated
 	}
 	count := int(getU16(b[i:]))
 	i += 2
 	if count > MaxBatchOps {
-		return nil, 0, ErrBadFrame
+		return dst, 0, ErrBadFrame
 	}
-	var ops []service.Op
-	if count > 0 {
-		ops = make([]service.Op, 0, count)
-	}
+	dst = reuse(dst, count)
 	for k := 0; k < count; k++ {
 		op, n, err := DecodeOp(b[i:])
 		if err != nil {
-			return nil, 0, err
+			return dst, 0, err
 		}
-		ops = append(ops, op)
+		dst = append(dst, op)
 		i += n
 	}
-	return ops, i, nil
+	return dst, i, nil
 }
 
-// decResults decodes one counted result section starting at b[i].
-func decResults(b []byte, i int) ([]service.Result, int, error) {
+// decResults decodes one counted result section starting at b[i],
+// appending to dst (see reuse).
+func decResults(dst []service.Result, b []byte, i int) ([]service.Result, int, error) {
 	if len(b)-i < 2 {
-		return nil, 0, ErrTruncated
+		return dst, 0, ErrTruncated
 	}
 	count := int(getU16(b[i:]))
 	i += 2
 	if count > MaxBatchOps {
-		return nil, 0, ErrBadFrame
+		return dst, 0, ErrBadFrame
 	}
-	var results []service.Result
-	if count > 0 {
-		results = make([]service.Result, 0, count)
-	}
+	dst = reuse(dst, count)
 	for k := 0; k < count; k++ {
 		res, n, err := DecodeResult(b[i:])
 		if err != nil {
-			return nil, 0, err
+			return dst, 0, err
 		}
-		results = append(results, res)
+		dst = append(dst, res)
 		i += n
 	}
-	return results, i, nil
+	return dst, i, nil
 }
 
 // IsRepOpcode reports whether op is one of the one-way replication

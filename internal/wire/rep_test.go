@@ -24,17 +24,21 @@ func TestGoldenPingFrames(t *testing.T) {
 	}
 }
 
+// goldenRep is TestGoldenRepFrame's envelope: every field set, one
+// element in each section.
+var goldenRep = Rep{
+	From: 1, Peer: 2, Shard: 3, Epoch: 4, Seq: 5, Frontier: 6, ReqID: 7,
+	Ops:     []service.Op{{Kind: service.OpPut, Key: "k", Val: "v", ID: 9}},
+	Results: []service.Result{{OK: true, Val: "r"}},
+	Entries: []RepEntry{{Seq: 8, Epoch: 4, Ops: []service.Op{{Kind: service.OpGet, Key: "g"}}}},
+	Acks:    []RepAck{{Kind: AckAppended, Shard: 3, Epoch: 4, Frontier: 8, Last: 4}},
+}
+
 // TestGoldenRepFrame pins a complete replication frame (§5.1): the §2.1
 // header (reqid always 0) around the 38-byte preamble and the four
 // counted sections, one element each.
 func TestGoldenRepFrame(t *testing.T) {
-	r := &Rep{
-		From: 1, Peer: 2, Shard: 3, Epoch: 4, Seq: 5, Frontier: 6, ReqID: 7,
-		Ops:     []service.Op{{Kind: service.OpPut, Key: "k", Val: "v", ID: 9}},
-		Results: []service.Result{{OK: true, Val: "r"}},
-		Entries: []RepEntry{{Seq: 8, Epoch: 4, Ops: []service.Op{{Kind: service.OpGet, Key: "g"}}}},
-		Acks:    []RepAck{{Kind: AckAppended, Shard: 3, Epoch: 4, Frontier: 8, Last: 4}},
-	}
+	r := &goldenRep
 	got, err := AppendRepFrame(nil, OpcodeRepAppend, r)
 	if err != nil {
 		t.Fatal(err)
@@ -114,34 +118,36 @@ func assertRepEqual(t *testing.T, got, want Rep) {
 	}
 }
 
-// TestRepRoundTrip exercises every envelope field shape: empty sections,
+// roundTripReps are envelopes of every field shape: empty sections,
 // multi-entry appends, long strings, max-range integers.
-func TestRepRoundTrip(t *testing.T) {
-	cases := []Rep{
-		{},
-		{From: 65535, Peer: 65535, Shard: 65535, Epoch: 1<<64 - 1, Seq: 1<<64 - 1,
-			Frontier: 1<<64 - 1, ReqID: 1<<64 - 1},
-		{From: 2, Shard: 1, ReqID: 42,
-			Ops: []service.Op{
-				{Kind: service.OpGet, Key: "a"},
-				{Kind: service.OpCAS, Key: "b", Old: "x", Val: strings.Repeat("y", 1000), ID: 7},
-			}},
-		{From: 1, Peer: 3, ReqID: 42,
-			Results: []service.Result{{}, {OK: true, Val: "v"}}},
-		{From: 1, Shard: 2, Epoch: 3, Seq: 10, Frontier: 8,
-			Entries: []RepEntry{
-				{Seq: 9, Epoch: 2},
-				{Seq: 10, Epoch: 3, Ops: []service.Op{
-					{Kind: service.OpPut, Key: "k1", Val: "v1", ID: 1},
-					{Kind: service.OpPut, Key: "k2", Val: "v2", ID: 2},
-				}},
-			}},
-		{From: 2, Acks: []RepAck{
-			{Kind: AckAppended, Shard: 1, Epoch: 3, Frontier: 1<<64 - 1, Last: 3},
-			{Kind: AckCommit, Shard: 65535, Epoch: 1<<64 - 1, Frontier: 7},
+var roundTripReps = []Rep{
+	{},
+	{From: 65535, Peer: 65535, Shard: 65535, Epoch: 1<<64 - 1, Seq: 1<<64 - 1,
+		Frontier: 1<<64 - 1, ReqID: 1<<64 - 1},
+	{From: 2, Shard: 1, ReqID: 42,
+		Ops: []service.Op{
+			{Kind: service.OpGet, Key: "a"},
+			{Kind: service.OpCAS, Key: "b", Old: "x", Val: strings.Repeat("y", 1000), ID: 7},
 		}},
-	}
-	for i, r := range cases {
+	{From: 1, Peer: 3, ReqID: 42,
+		Results: []service.Result{{}, {OK: true, Val: "v"}}},
+	{From: 1, Shard: 2, Epoch: 3, Seq: 10, Frontier: 8,
+		Entries: []RepEntry{
+			{Seq: 9, Epoch: 2},
+			{Seq: 10, Epoch: 3, Ops: []service.Op{
+				{Kind: service.OpPut, Key: "k1", Val: "v1", ID: 1},
+				{Kind: service.OpPut, Key: "k2", Val: "v2", ID: 2},
+			}},
+		}},
+	{From: 2, Acks: []RepAck{
+		{Kind: AckAppended, Shard: 1, Epoch: 3, Frontier: 1<<64 - 1, Last: 3},
+		{Kind: AckCommit, Shard: 65535, Epoch: 1<<64 - 1, Frontier: 7},
+	}},
+}
+
+// TestRepRoundTrip round-trips roundTripReps through a whole frame.
+func TestRepRoundTrip(t *testing.T) {
+	for i, r := range roundTripReps {
 		frame, err := AppendRepFrame(nil, OpcodeRepHeartbeat, &r)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -310,4 +316,71 @@ func TestEncodedSizeAccounting(t *testing.T) {
 	if repPreambleSize+8+MaxRepAcks*EncodedAckSize+MaxRepData != MaxPayload {
 		t.Fatalf("MaxRepData %d does not fill MaxPayload %d", MaxRepData, MaxPayload)
 	}
+}
+
+// TestDecodeRepReuseZeroAllocs: decoding into a warmed Rep allocates
+// nothing. The cluster's free transport decodes every inbound replication
+// frame into a recycled message this way, so a route, an append, a done
+// and an acks-only frame must all reuse the Rep's slices.
+func TestDecodeRepReuseZeroAllocs(t *testing.T) {
+	ops := []service.Op{
+		{Kind: service.OpPut, Key: "key", Val: "value", ID: 1},
+		{Kind: service.OpCAS, Key: "key", Old: "value", Val: "other", ID: 2},
+	}
+	frames := map[string]Rep{
+		"route":  {From: 1, Shard: 2, ReqID: 3, Ops: ops},
+		"append": {From: 1, Shard: 2, Epoch: 3, Seq: 4, Frontier: 5, Entries: []RepEntry{{Seq: 5, Epoch: 3, Ops: ops}, {Seq: 6, Epoch: 3, Ops: ops[:1]}}},
+		"done":   {From: 1, Shard: 2, ReqID: 3, Frontier: 2, Results: []service.Result{{OK: true, Val: "value"}, {OK: true}}},
+		"acks":   {From: 1, Acks: []RepAck{{Kind: AckAppended, Shard: 2, Epoch: 3, Frontier: 4, Last: 3}, {Kind: AckCommit, Shard: 1, Epoch: 2, Frontier: 9}}},
+	}
+	var r Rep
+	for name, want := range frames {
+		payload := AppendRep(nil, &want)
+		if err := DecodeRepInto(&r, payload); err != nil { // warm r for this shape
+			t.Fatalf("%s: %v", name, err)
+		}
+		if avg := testing.AllocsPerRun(200, func() { _ = DecodeRepInto(&r, payload) }); avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, avg)
+		}
+		assertRepEqual(t, r, want)
+	}
+}
+
+// FuzzDecodeRep: DecodeRep parses bytes from the network. Whatever the
+// input, it must not panic; a fresh decode and a decode into a dirty,
+// reused Rep must agree on the error and on the value; and a payload that
+// decodes must re-encode to exactly its own bytes.
+func FuzzDecodeRep(f *testing.F) {
+	for _, r := range append([]Rep{goldenRep}, roundTripReps...) {
+		f.Add(AppendRep(nil, &r))
+	}
+	dirty := AppendRep(nil, &Rep{
+		From: 9, Peer: 9, Shard: 9, Epoch: 9, Seq: 9, Frontier: 9, ReqID: 9,
+		Ops:     []service.Op{{Kind: service.OpCAS, Key: "dk", Old: "do", Val: "dv", ID: 9}, {Kind: service.OpGet, Key: "dk"}},
+		Results: []service.Result{{OK: true, Val: "dr"}, {}, {OK: true}},
+		Entries: []RepEntry{
+			{Seq: 9, Epoch: 9, Ops: []service.Op{{Kind: service.OpPut, Key: "e", Val: "ev"}, {Kind: service.OpGet, Key: "f"}}},
+			{Seq: 10, Epoch: 9},
+			{Seq: 11, Epoch: 9, Ops: []service.Op{{Kind: service.OpGet, Key: "g"}}},
+		},
+		Acks: []RepAck{{Kind: AckCommit, Shard: 9, Epoch: 9, Frontier: 9, Last: 9}},
+	})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fresh, ferr := DecodeRep(b)
+		var reused Rep
+		if err := DecodeRepInto(&reused, dirty); err != nil {
+			t.Fatal(err)
+		}
+		rerr := DecodeRepInto(&reused, b)
+		if !errors.Is(rerr, ferr) || (rerr == nil) != (ferr == nil) {
+			t.Fatalf("fresh decode: %v, reused decode: %v", ferr, rerr)
+		}
+		if ferr != nil {
+			return
+		}
+		assertRepEqual(t, reused, fresh)
+		if again := AppendRep(nil, &fresh); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoded\n got %x\nwant %x", again, b)
+		}
+	})
 }

@@ -11,17 +11,19 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Budgets in allocs/op, seed 1, 1 s windows. Measured on 2 vCPUs, 20 runs
-# each at GOMAXPROCS=2 and GOMAXPROCS=4 ("clean"), and 2 runs each with one
-# extra heap object per op planted in the service submit path ("planted").
-# Each budget sits between the two.
+# Budgets in allocs/op, seed 1, 1 s windows. Measured on 2 vCPUs: clean
+# runs at GOMAXPROCS=2 and GOMAXPROCS=4 (20 each for store-batch and
+# wire-single, 10 each for the cluster rungs), and 2 runs each with one
+# extra heap object per op planted (in the service submit path for
+# store-batch and wire-single, in the cluster front end's per-op routing
+# loop for the cluster rungs). Each budget sits between the two.
 #
 #   workload        budget  clean (P=2 | P=4)              planted
 budgets=(
   "store-batch     0.35    0.136-0.176 | 0.151-0.170      1.14-1.16"
   "wire-single     5.5     5.090-5.110 | 5.087-5.106      6.09-6.10"
-  "cluster-batch   3.5     2.74-3.03   | 2.76-3.08        5.69-5.86"
-  "cluster-single  52.5    50.19-51.02 | 51.08-51.37      53.77-54.28"
+  "cluster-batch   2.6     2.00-2.23   | 2.10-2.23        3.04-3.16"
+  "cluster-single  13.15   12.63-12.68 | 12.59-12.64      13.62-13.67"
 )
 
 log=$(mktemp)
