@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,24 +18,16 @@ func clusterTestConfig() service.Config {
 	}
 }
 
-// reserveAddr binds and releases one loopback ephemeral port.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
+// selfAddr is the listen address for a node under test: each node binds
+// only its own port, so an ephemeral one never has to be reserved first.
+const selfAddr = "127.0.0.1:0"
 
 // TestStartClusterSingleNode: a one-peer cluster (quorum 1) serves through
 // the same mux as the single-process mode — ops route and commit, /healthz
 // returns the node status document, the per-role probes answer by role, and
 // /metrics carries the cluster families.
 func TestStartClusterSingleNode(t *testing.T) {
-	node, err := startCluster(clusterTestConfig(), 0, reserveAddr(t), "frontend,store", "", 0, 0)
+	node, err := startCluster(clusterTestConfig(), 0, selfAddr, "frontend,store", "", 0, 0)
 	if err != nil {
 		t.Fatalf("startCluster: %v", err)
 	}
@@ -111,7 +102,7 @@ func TestStartClusterSingleNode(t *testing.T) {
 // TestClusterRoleHealth: a store-only node answers 503 on the frontend
 // probe and ok on the store probe.
 func TestClusterRoleHealth(t *testing.T) {
-	node, err := startCluster(clusterTestConfig(), 0, reserveAddr(t), "store", "0", 0, 0)
+	node, err := startCluster(clusterTestConfig(), 0, selfAddr, "store", "0", 0, 0)
 	if err != nil {
 		t.Fatalf("startCluster: %v", err)
 	}
@@ -171,10 +162,10 @@ func TestStartClusterFlagErrors(t *testing.T) {
 
 // TestStartClusterSplitRoles: the canonical split topology — store role on
 // an explicit replica subset, frontend elsewhere — passes validation on
-// both sides.
+// both sides. Validation is all it checks, so the nodes never need to
+// reach each other, and each binds an ephemeral port of its own.
 func TestStartClusterSplitRoles(t *testing.T) {
-	addrs := []string{reserveAddr(t), reserveAddr(t), reserveAddr(t)}
-	peers := strings.Join(addrs, ",")
+	peers := strings.Join([]string{selfAddr, selfAddr, selfAddr}, ",")
 	store, err := startCluster(clusterTestConfig(), 0, peers, "store", "0,1", 0, 0)
 	if err != nil {
 		t.Fatalf("store node refused: %v", err)
@@ -192,7 +183,7 @@ func TestStartClusterSplitRoles(t *testing.T) {
 // alongside the node's cluster families — one scrape, no duplicate TYPE
 // blocks.
 func TestClusterMetricsIncludeStores(t *testing.T) {
-	node, err := startCluster(clusterTestConfig(), 0, reserveAddr(t), "frontend,store", "", 0, 0)
+	node, err := startCluster(clusterTestConfig(), 0, selfAddr, "frontend,store", "", 0, 0)
 	if err != nil {
 		t.Fatalf("startCluster: %v", err)
 	}

@@ -18,8 +18,9 @@
 //
 //   - free mode (transport_free.go): real TCP between processes, framing
 //     replication messages as the RPW1 OpcodeRep* opcodes (internal/wire,
-//     docs/PROTOCOL.md §5) over pipelined wire connections, with
-//     wire.Conn.Ping as the per-peer liveness probe;
+//     docs/PROTOCOL.md §5) over write-only peer links; a node learns a
+//     peer died from the protocol's heartbeats and ownerTimeout, and
+//     sooner from a failed write on the link;
 //   - virtual mode (transport_virtual.go): a simulated network inside one
 //     deterministic sched.Run, where delay, loss, duplication and
 //     partition are schedule decisions — every cluster behaviour,
@@ -72,12 +73,10 @@ import (
 // [0, Nodes) and double as indices into address lists and wire.Rep.From.
 type NodeID uint16
 
-// Config shapes one Node. Durations are in transport clock units:
-// nanoseconds in free mode, scheduler steps in virtual mode — call
-// withDefaults with the right mode to fill the zero fields. There is one
-// log configuration: every node, virtual or free, cuts its replication log
-// below what the owner has applied and every live replica has committed,
-// so the virtual scenarios run exactly the log production runs.
+// Config shapes one Node. There is one log configuration: every node,
+// virtual or free, cuts its replication log below what the owner has
+// applied and every live replica has committed, so the virtual scenarios
+// run exactly the log production runs.
 type Config struct {
 	// ID is this node's id; Nodes is the deployment size (ids are dense).
 	ID    NodeID
@@ -105,45 +104,58 @@ type Config struct {
 	// before cutting a log entry (free mode: ns, virtual mode: steps),
 	// trading bounded latency for fan-out amortization. 0 cuts on first
 	// arrival. A full batch (maxEntryOps) always cuts immediately; the
-	// effective wait is bounded by BatchWindow + TickEvery.
+	// effective wait is bounded by BatchWindow + tickEvery.
 	BatchWindow int64
-	// TickEvery is the event loop's timer granularity.
-	TickEvery int64
-	// HeartbeatEvery paces node-level heartbeats and owner append keepalives.
-	HeartbeatEvery int64
-	// OwnerTimeout is how long a follower waits without hearing its shard's
-	// owner before considering an election.
-	OwnerTimeout int64
-	// ElectionStagger spaces candidate start times by preference rank, so
-	// the preferred live successor usually wins uncontested.
-	ElectionStagger int64
-	// ElectionBackoff is how long a candidate waits before retrying a
-	// stalled election with a higher epoch.
-	ElectionBackoff int64
-	// RouteTimeout is how long a front end waits for a routed op's RepDone
-	// before resending to the currently believed owner — or, when that
-	// owner has been silent for OwnerTimeout, to the next store node in the
-	// shard's preference order, which redirects to the owner it knows.
-	RouteTimeout int64
-	// RetransmitEvery paces the owner's resend of unacknowledged suffixes.
-	RetransmitEvery int64
 
 	// Logf, when non-nil, receives protocol-level event logs.
 	Logf func(format string, args ...any)
+
+	// timing is the protocol's timer table. New fills a zero table whole
+	// with freeTiming or virtualTiming; only tests set another.
+	timing
 }
 
-// Durations here are tuned so that free-mode failover lands well under a
-// second while heartbeat traffic stays negligible, and so that virtual
-// failovers complete within a few thousand scheduler steps (budgets in
-// sim.go depend on these).
+// timing holds the protocol's timers in transport clock units:
+// nanoseconds in free mode, scheduler steps in virtual mode.
+type timing struct {
+	// tickEvery is the event loop's timer granularity.
+	tickEvery int64
+	// heartbeatEvery paces node-level heartbeats and owner append keepalives.
+	heartbeatEvery int64
+	// ownerTimeout is how long a follower waits without hearing its shard's
+	// owner before considering an election.
+	ownerTimeout int64
+	// electionStagger spaces candidate start times by preference rank, so
+	// the preferred live successor usually wins uncontested.
+	electionStagger int64
+	// electionBackoff is how long a candidate waits before retrying a
+	// stalled election with a higher epoch.
+	electionBackoff int64
+	// routeTimeout is how long a front end waits for a routed op's RepDone
+	// before resending to the currently believed owner — or, when that
+	// owner has been silent for ownerTimeout, to the next store node in the
+	// shard's preference order, which redirects to the owner it knows.
+	routeTimeout int64
+	// retransmitEvery paces the owner's resend of unacknowledged suffixes.
+	retransmitEvery int64
+}
+
+// The two timer tables. Free mode's lands failover well under a second
+// while heartbeat traffic stays negligible; virtual mode's completes
+// failovers within a few thousand scheduler steps (budgets in sim.go
+// depend on it). TestTimingRatios pins the orderings the node relies on.
+var (
+	freeTiming = timing{ // nanoseconds
+		tickEvery: 5e6, heartbeatEvery: 25e6, ownerTimeout: 150e6, electionStagger: 75e6,
+		electionBackoff: 300e6, routeTimeout: 100e6, retransmitEvery: 50e6,
+	}
+	virtualTiming = timing{ // scheduler steps
+		tickEvery: 32, heartbeatEvery: 128, ownerTimeout: 640, electionStagger: 320,
+		electionBackoff: 1024, routeTimeout: 512, retransmitEvery: 256,
+	}
+)
+
 func (c Config) withDefaults(virtual bool) Config {
-	type defaults struct{ tick, beat, own, stag, back, route, retx int64 }
-	d := defaults{ // free mode: nanoseconds
-		tick: 5e6, beat: 25e6, own: 150e6, stag: 75e6, back: 300e6, route: 100e6, retx: 50e6,
-	}
-	if virtual { // scheduler steps
-		d = defaults{tick: 32, beat: 128, own: 640, stag: 320, back: 1024, route: 512, retx: 256}
-	}
 	if c.Nodes <= 0 {
 		c.Nodes = 1
 	}
@@ -164,26 +176,11 @@ func (c Config) withDefaults(virtual bool) Config {
 	if c.BatchWindow < 0 {
 		c.BatchWindow = 0
 	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = d.tick
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = d.beat
-	}
-	if c.OwnerTimeout <= 0 {
-		c.OwnerTimeout = d.own
-	}
-	if c.ElectionStagger <= 0 {
-		c.ElectionStagger = d.stag
-	}
-	if c.ElectionBackoff <= 0 {
-		c.ElectionBackoff = d.back
-	}
-	if c.RouteTimeout <= 0 {
-		c.RouteTimeout = d.route
-	}
-	if c.RetransmitEvery <= 0 {
-		c.RetransmitEvery = d.retx
+	if c.timing == (timing{}) {
+		c.timing = freeTiming
+		if virtual {
+			c.timing = virtualTiming
+		}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -215,8 +212,8 @@ const (
 	// kindShutdown asks the loop to drain and exit.
 	kindShutdown byte = 0x81
 	// kindPeerDown is the free transport's advisory that a peer connection
-	// died (ping or send failure); m.rep.Peer is the dead node. It ages the
-	// peer's liveness, it does not by itself depose an owner.
+	// died (a failed or timed-out write); m.rep.Peer is the dead node. It
+	// ages the peer's liveness, it does not by itself depose an owner.
 	kindPeerDown byte = 0x82
 )
 

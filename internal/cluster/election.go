@@ -22,10 +22,10 @@ func (n *Node) onPeerDown(p *sched.Proc, id NodeID) {
 		return
 	}
 	now := n.tr.now(p)
-	n.lastHeard[id] = now - n.cfg.OwnerTimeout - 1
+	n.lastHeard[id] = now - n.cfg.ownerTimeout - 1
 	for _, sr := range n.shards {
-		if sr.owner == id && sr.own == nil && sr.lastOwnerHeard > now-n.cfg.OwnerTimeout {
-			sr.lastOwnerHeard = now - n.cfg.OwnerTimeout
+		if sr.owner == id && sr.own == nil && sr.lastOwnerHeard > now-n.cfg.ownerTimeout {
+			sr.lastOwnerHeard = now - n.cfg.ownerTimeout
 		}
 	}
 }
@@ -42,7 +42,7 @@ func (n *Node) rank(sr *shardRep, now int64) int64 {
 		if f == sr.owner {
 			continue // the silent owner is who we're replacing
 		}
-		if now-n.lastHeard[f] < n.cfg.OwnerTimeout {
+		if now-n.lastHeard[f] < n.cfg.ownerTimeout {
 			r++
 		}
 	}
@@ -50,13 +50,13 @@ func (n *Node) rank(sr *shardRep, now int64) int64 {
 }
 
 // maybeElect starts (or retries) an election once the owner has been
-// silent past OwnerTimeout plus this node's stagger.
+// silent past ownerTimeout plus this node's stagger.
 func (n *Node) maybeElect(p *sched.Proc, sr *shardRep, now int64) {
 	elapsed := now - sr.lastOwnerHeard
-	if elapsed < n.cfg.OwnerTimeout+n.rank(sr, now)*n.cfg.ElectionStagger {
+	if elapsed < n.cfg.ownerTimeout+n.rank(sr, now)*n.cfg.electionStagger {
 		return
 	}
-	if c := sr.cand; c != nil && now-c.started < n.cfg.ElectionBackoff {
+	if c := sr.cand; c != nil && now-c.started < n.cfg.electionBackoff {
 		return // election in progress; give it time before escalating
 	}
 	n.startElection(p, sr, now, 0)
@@ -104,7 +104,7 @@ func (n *Node) onVote(p *sched.Proc, m *message) {
 		// behind candidate that fires its timer first stays one self-voted
 		// epoch ahead forever and the fixed backoffs livelock the election.
 		now := n.tr.now(p)
-		if sr.own == nil && now-sr.lastOwnerHeard >= n.cfg.OwnerTimeout {
+		if sr.own == nil && now-sr.lastOwnerHeard >= n.cfg.ownerTimeout {
 			n.startElection(p, sr, now, e+1)
 		}
 		return

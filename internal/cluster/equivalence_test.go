@@ -73,13 +73,13 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	script := equivalenceScript()
 
 	// --- Free mode ---
-	// A route resent after RouteTimeout is appended a second time (dedup
+	// A route resent after routeTimeout is appended a second time (dedup
 	// acts at apply), so the free side waits long enough that a loaded
 	// machine's slow first commit is not mistaken for a lost route.
 	freeNodes := startFreeClusterCfg(t, 3, 1, func(c *Config) {
 		c.MaxInflightEntries = inflight
 		c.BatchWindow = freeWindow
-		c.RouteTimeout = time.Second.Nanoseconds()
+		c.routeTimeout = time.Second.Nanoseconds()
 	})
 	waitConnected(t, freeNodes)
 	ctx := context.Background()
@@ -189,9 +189,16 @@ func testCrossRuntimeEquivalence(t *testing.T, inflight int, freeWindow, virtWin
 	}
 }
 
+// connected reports whether the peer's link is up.
+func (p *freePeer) connected() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn != nil
+}
+
 // waitConnected blocks until every free node holds a connection to every
 // peer. A frame sent before that is dropped, and a dropped RepDone makes
-// the front end resend its route after RouteTimeout: the owner, which had
+// the front end resend its route after routeTimeout: the owner, which had
 // already answered, appends the op a second time (dedup acts at apply), so
 // the free chain gains an entry the virtual one lacks.
 func waitConnected(t *testing.T, nodes []*Node) {
@@ -199,7 +206,7 @@ func waitConnected(t *testing.T, nodes []*Node) {
 	deadline := time.Now().Add(5 * time.Second)
 	for _, n := range nodes {
 		for _, p := range n.tr.(*FreeTransport).peers {
-			for p.id != n.cfg.ID && p.get() == nil {
+			for p.id != n.cfg.ID && !p.connected() {
 				if time.Now().After(deadline) {
 					t.Fatalf("node %d never connected to node %d", n.cfg.ID, p.id)
 				}

@@ -32,19 +32,27 @@ func listenPorts(t testing.TB, n int) ([]net.Listener, []string) {
 	return lis, addrs
 }
 
+// testFreeConfig shortens the free transport's redial so a test cluster
+// connects in milliseconds.
+func testFreeConfig() FreeConfig {
+	return FreeConfig{dialBackoff: 5 * time.Millisecond, dialTimeout: 100 * time.Millisecond}
+}
+
 // freeNodeConfig shortens the free-mode failure detectors so the tests
 // converge in milliseconds instead of the production defaults.
 func freeNodeConfig(id NodeID, nodes int, stores []NodeID, shards int) Config {
 	return Config{
 		ID: id, Nodes: nodes, StoreNodes: stores, Shards: shards,
 		Frontend: true, Store: true,
-		TickEvery:       2 * time.Millisecond.Nanoseconds(),
-		HeartbeatEvery:  5 * time.Millisecond.Nanoseconds(),
-		OwnerTimeout:    40 * time.Millisecond.Nanoseconds(),
-		ElectionStagger: 20 * time.Millisecond.Nanoseconds(),
-		ElectionBackoff: 80 * time.Millisecond.Nanoseconds(),
-		RouteTimeout:    25 * time.Millisecond.Nanoseconds(),
-		RetransmitEvery: 15 * time.Millisecond.Nanoseconds(),
+		timing: timing{
+			tickEvery:       2 * time.Millisecond.Nanoseconds(),
+			heartbeatEvery:  5 * time.Millisecond.Nanoseconds(),
+			ownerTimeout:    40 * time.Millisecond.Nanoseconds(),
+			electionStagger: 20 * time.Millisecond.Nanoseconds(),
+			electionBackoff: 80 * time.Millisecond.Nanoseconds(),
+			routeTimeout:    25 * time.Millisecond.Nanoseconds(),
+			retransmitEvery: 15 * time.Millisecond.Nanoseconds(),
+		},
 	}
 }
 
@@ -70,11 +78,7 @@ func startFreeClusterCfg(t testing.TB, nodes, shards int, mod func(*Config)) []*
 	}
 	out := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
-		ft := newFreeTransport(NodeID(i), lis[i], addrs, FreeConfig{
-			PingEvery:   5 * time.Millisecond,
-			DialBackoff: 5 * time.Millisecond,
-			DialTimeout: 100 * time.Millisecond,
-		})
+		ft := newFreeTransport(NodeID(i), lis[i], addrs, testFreeConfig())
 		reps := make([]*service.Store, shards)
 		for s := range reps {
 			reps[s] = service.New(service.Config{
@@ -175,8 +179,9 @@ func TestFreeClusterReplicates(t *testing.T) {
 }
 
 // TestFreeClusterFailover: killing the owner of shard 0 mid-load must be
-// survived — the ping probes report the peer down, a follower wins the
-// election, the front ends re-route, and every subsequent op is answered.
+// survived — failed writes on its links report the peer down, a follower
+// wins the election, the front ends re-route, and every subsequent op is
+// answered.
 func TestFreeClusterFailover(t *testing.T) {
 	nodes := startFreeCluster(t, 3, 1)
 	closed := make([]bool, 3)

@@ -129,7 +129,7 @@ func (n *Node) sendRoute(p *sched.Proc, reqid uint64, r *route) {
 	})
 }
 
-// resendDue resends the routes unanswered for RouteTimeout (and expires
+// resendDue resends the routes unanswered for routeTimeout (and expires
 // the owner hint of a silent owner). It scans for timed-out routes only,
 // into a reused buffer: the common tick (nothing due) allocates nothing,
 // and the sort keeps resends deterministic despite map iteration order.
@@ -137,7 +137,7 @@ func (n *Node) resendDue(p *sched.Proc, now int64) {
 	fe := &n.fe
 	due := fe.due[:0]
 	for id, r := range fe.routes {
-		if now-r.sentAt >= n.cfg.RouteTimeout {
+		if now-r.sentAt >= n.cfg.routeTimeout {
 			due = append(due, id)
 		}
 	}
@@ -145,7 +145,7 @@ func (n *Node) resendDue(p *sched.Proc, now int64) {
 	for _, id := range due {
 		r := fe.routes[id]
 		r.sentAt = now
-		if o := fe.owners[r.shard]; now-n.lastHeard[o] >= n.cfg.OwnerTimeout {
+		if o := fe.owners[r.shard]; now-n.lastHeard[o] >= n.cfg.ownerTimeout {
 			// The hint expires: an owner silent this long is dead or cut
 			// off, and its successor's one owner broadcast may have been
 			// lost. The next store node in preference order redirects to

@@ -180,7 +180,7 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 	case *vEndpoint:
 		t.drops = n.drops
 	case *FreeTransport:
-		t.setDrops(n.drops) // accept/ping goroutines already run, hence atomic
+		t.setDrops(n.drops) // accept/dial goroutines already run, hence atomic
 	}
 	for op, name := range opcodeNames {
 		n.cMsgSent[op] = n.reg.Counter("cluster_messages_sent_total", "replication messages sent by kind",
@@ -403,7 +403,7 @@ func (n *Node) Run(p *sched.Proc) {
 		sr.lastOwnerHeard = now
 	}
 	for !n.stopping {
-		m, ok := n.tr.recv(p, n.tr.now(p)+n.cfg.TickEvery)
+		m, ok := n.tr.recv(p, n.tr.now(p)+n.cfg.tickEvery)
 		if ok {
 			n.handle(p, m)
 			n.tr.release(m)
@@ -522,7 +522,7 @@ func (n *Node) tick(p *sched.Proc) {
 	}
 	now := n.tr.now(p)
 	n.lastHeard[n.cfg.ID] = now
-	if now-n.lastBeat >= n.cfg.HeartbeatEvery {
+	if now-n.lastBeat >= n.cfg.heartbeatEvery {
 		n.lastBeat = now
 		n.sendHeartbeats(p)
 	}

@@ -95,7 +95,8 @@ func TestLaggingFollowerSurvivesFailover(t *testing.T) {
 	const ownerTimeout = 1024
 	cut := Partition{From: 0, To: ownerTimeout - 64, GroupA: []NodeID{2}}
 	nodes := virtualTrio(r, NetPlan{Partitions: []Partition{cut}}, func(c *Config) {
-		c.OwnerTimeout = ownerTimeout
+		c.timing = virtualTiming
+		c.ownerTimeout = ownerTimeout
 	})
 	caughtUp := false
 	r.Spawn(0, func(p *sched.Proc) {

@@ -128,7 +128,7 @@ func (o *ownerState) sendFrom(f NodeID) uint64 { return max(o.acked[f], o.sentTo
 func (n *Node) ownerTick(p *sched.Proc, sr *shardRep, now int64) {
 	o := sr.own
 	n.pump(p, sr)
-	if now-o.lastRetx < n.cfg.RetransmitEvery {
+	if now-o.lastRetx < n.cfg.retransmitEvery {
 		return
 	}
 	o.lastRetx = now
@@ -184,7 +184,7 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 // are outstanding per shard; commits stay strictly in order (checkCommit
 // answers prefixes). With a BatchWindow, a non-full batch waits out the
 // window before cutting — tick re-pumps, so the extra wait is bounded by
-// BatchWindow + TickEvery.
+// BatchWindow + tickEvery.
 func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 	o := sr.own
 	for o.inflight.n < n.cfg.MaxInflightEntries && o.pend.len() > 0 && !n.stopping {
@@ -331,11 +331,11 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 	// The log floor passes only what this replica has applied and every
 	// live follower has committed: whichever of them wins the next election
 	// still holds all that any other is missing. (A replica silent past
-	// OwnerTimeout is not waited for and may fall behind the floor for good.)
+	// ownerTimeout is not waited for and may fall behind the floor for good.)
 	now := n.tr.now(p)
 	floor := sr.applied
 	for _, f := range n.cfg.StoreNodes {
-		if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.OwnerTimeout {
+		if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.ownerTimeout {
 			floor = min(floor, o.ackedCommit[f])
 		}
 	}

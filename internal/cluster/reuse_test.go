@@ -164,7 +164,7 @@ func TestAbandonedClusterCallNeverReused(t *testing.T) {
 	ft := newFreeTransport(0, lis[0], addrs, FreeConfig{})
 	cfg := freeNodeConfig(0, 2, []NodeID{1}, 1)
 	cfg.Store = false
-	cfg.RouteTimeout = time.Hour.Nanoseconds()
+	cfg.routeTimeout = time.Hour.Nanoseconds()
 	n := New(cfg, ft, nil)
 	go n.Run(nil)
 	defer n.Close()

@@ -167,7 +167,7 @@ func clusterScenarios() []sim.Scenario {
 		{
 			// A seed-chosen store node is cut off for a window mid-run: the
 			// majority side keeps serving. The owner's log floor stops
-			// waiting for a replica silent past OwnerTimeout, so a victim
+			// waiting for a replica silent past ownerTimeout, so a victim
 			// still cut off while entries commit heals behind the floor and
 			// stays there, probed but never caught up (no snapshot install
 			// yet) — most seeds; otherwise it catches up on heal.
@@ -282,7 +282,7 @@ func batchLossPlan(_ ctopo, _ int64, rng *rand.Rand) NetPlan {
 }
 
 // flapPlan cuts one seed-chosen store node after another off for a little
-// longer than OwnerTimeout (640 steps), over a slow network, for the
+// longer than ownerTimeout (640 steps), over a slow network, for the
 // vote-canary fixtures: an owner that comes back from a cut finds a rival
 // elected, and with delays this long its appends reach the rival's voters
 // before the rival's own announcement does — the window in which a voter's

@@ -14,17 +14,14 @@ import (
 
 // FreeConfig tunes the free (real TCP) transport.
 type FreeConfig struct {
-	// PingEvery paces the per-peer wire.Conn.Ping liveness probe
-	// (docs/PROTOCOL.md §3.7). Default 250ms.
-	PingEvery time.Duration
-	// DialBackoff is the minimum gap between dial attempts to one peer.
-	// Default 250ms.
-	DialBackoff time.Duration
-	// DialTimeout bounds one dial attempt. Default 500ms.
-	DialTimeout time.Duration
 	// Logf, when non-nil, receives transport-level error logs.
 	Logf func(format string, args ...any)
 
+	// dialBackoff paces a down peer's redials: the dial loop ticks at it,
+	// and no two attempts to one peer start closer together. Default 250ms.
+	dialBackoff time.Duration
+	// dialTimeout bounds one dial attempt. Default 500ms.
+	dialTimeout time.Duration
 	// dialFn overrides the dialer. Tests inject hanging or failing dials
 	// to prove the event loop never waits behind one.
 	dialFn func(addr string, timeout time.Duration) (net.Conn, error)
@@ -32,20 +29,17 @@ type FreeConfig struct {
 
 func (c FreeConfig) dial(addr string) (net.Conn, error) {
 	if c.dialFn != nil {
-		return c.dialFn(addr, c.DialTimeout)
+		return c.dialFn(addr, c.dialTimeout)
 	}
-	return net.DialTimeout("tcp", addr, c.DialTimeout)
+	return net.DialTimeout("tcp", addr, c.dialTimeout)
 }
 
 func (c FreeConfig) withDefaults() FreeConfig {
-	if c.PingEvery <= 0 {
-		c.PingEvery = 250 * time.Millisecond
+	if c.dialBackoff <= 0 {
+		c.dialBackoff = 250 * time.Millisecond
 	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 250 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
+	if c.dialTimeout <= 0 {
+		c.dialTimeout = 500 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -54,12 +48,13 @@ func (c FreeConfig) withDefaults() FreeConfig {
 }
 
 // FreeTransport carries cluster messages between processes as RPW1
-// replication frames (docs/PROTOCOL.md §5): one outbound pipelined
-// wire.Conn per peer for sends and pings, and an accept loop that decodes
-// inbound one-way frames into the local inbox. Connection failures are
-// surfaced to the event loop as kindPeerDown advisories and healed by
-// redial with backoff; the cluster protocol's own retransmission makes the
-// lossy send contract safe.
+// replication frames (docs/PROTOCOL.md §5): one write-only outbound TCP
+// connection per peer, and an accept loop that decodes inbound one-way
+// frames into the local inbox. A failed or timed-out burst write is the
+// transport's only death signal: it surfaces to the event loop as a
+// kindPeerDown advisory, and the link heals by redial with backoff. The
+// protocol's heartbeats and ownerTimeout do the rest of failure
+// detection, and its retransmission makes the lossy send contract safe.
 type FreeTransport struct {
 	self  NodeID
 	cfg   FreeConfig
@@ -70,7 +65,7 @@ type FreeTransport struct {
 	timer *time.Timer // recv's reused wakeup timer (event-loop goroutine only)
 
 	// drops is wired in by Node.New after construction; the accept and
-	// ping goroutines are already running by then, hence the atomic.
+	// dial goroutines are already running by then, hence the atomic.
 	drops atomic.Pointer[dropCounters]
 
 	mu      sync.Mutex
@@ -84,7 +79,7 @@ type FreeTransport struct {
 func (ft *FreeTransport) setDrops(d *dropCounters) { ft.drops.Store(d) }
 func (ft *FreeTransport) dropCtrs() *dropCounters  { return ft.drops.Load() }
 
-// NewFreeTransport listens on addrs[self] and starts the per-peer pingers.
+// NewFreeTransport listens on addrs[self] and starts the per-peer dialers.
 // addrs is indexed by NodeID; the peer set is fixed for the transport's
 // lifetime.
 func NewFreeTransport(self NodeID, addrs []string, cfg FreeConfig) (*FreeTransport, error) {
@@ -117,14 +112,10 @@ func newFreeTransport(self NodeID, lis net.Listener, addrs []string, cfg FreeCon
 			continue
 		}
 		ft.wg.Add(1)
-		go p.pingLoop()
+		go p.dialLoop()
 	}
 	return ft
 }
-
-// Addr returns the transport's bound listen address (useful when addrs
-// used port 0).
-func (ft *FreeTransport) Addr() net.Addr { return ft.lis.Addr() }
 
 func (ft *FreeTransport) send(_ *sched.Proc, to NodeID, m *message) {
 	if to == ft.self {
@@ -240,19 +231,14 @@ func (ft *FreeTransport) acceptLoop() {
 	}
 }
 
-// serveInbound reads one peer's frames: replication envelopes go to the
-// inbox, ping requests are answered in place (this is the server half of
-// the peer's liveness probe). Each frame is read into the payload buffer of
-// a message from the connection's free list and decoded into that
-// message's rep, reusing both; the event loop hands the message back once
-// it has handled it, so a payload is never overwritten while a decoded
-// string aliases it.
+// serveInbound reads one peer's frames into the inbox; the link carries
+// nothing back. Each frame is read into the payload buffer of a message
+// from the connection's free list and decoded into that message's rep,
+// reusing both; the event loop hands the message back once it has handled
+// it, so a payload is never overwritten while a decoded string aliases it.
 func (ft *FreeTransport) serveInbound(c net.Conn) {
 	defer c.Close()
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	var hdr, pong [wire.HeaderSize]byte
+	var hdr [wire.HeaderSize]byte
 	var pool msgPool
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
@@ -268,25 +254,18 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 		if _, err := io.ReadFull(c, m.buf); err != nil {
 			return
 		}
-		switch {
-		case h.Opcode == wire.OpcodePing && !h.IsResp():
-			pool.put(m)
-			if _, err := c.Write(wire.AppendEmptyFrame(pong[:0], wire.OpcodePing, wire.FlagResp, h.ReqID)); err != nil {
-				return
-			}
-		case wire.IsRepOpcode(h.Opcode):
-			if err := wire.DecodeRepInto(&m.rep, m.buf); err != nil {
-				ft.dropCtrs().inc(dropBadRep, 1)
-				ft.cfg.Logf("cluster: bad rep frame from %s: %v", c.RemoteAddr(), err)
-				return
-			}
-			m.kind = h.Opcode
-			ft.in.push(m)
-		default:
+		if !wire.IsRepOpcode(h.Opcode) {
 			ft.dropCtrs().inc(dropBadOpcode, 1)
 			ft.cfg.Logf("cluster: unexpected opcode 0x%02x from %s", h.Opcode, c.RemoteAddr())
 			return
 		}
+		if err := wire.DecodeRepInto(&m.rep, m.buf); err != nil {
+			ft.dropCtrs().inc(dropBadRep, 1)
+			ft.cfg.Logf("cluster: bad rep frame from %s: %v", c.RemoteAddr(), err)
+			return
+		}
+		m.kind = h.Opcode
+		ft.in.push(m)
 	}
 }
 
@@ -295,17 +274,34 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 // loop sends heavily between flushes.
 const maxCoalescedBytes = 256 << 10
 
+// writeTimeout bounds one burst write. Flushes run on the event loop, so a
+// peer that accepts but stops reading would otherwise block the whole node
+// once the socket buffers fill. flush re-arms the link's write deadline
+// only once less than half of it is left, so a stalled write fails after
+// writeTimeout/2 to writeTimeout: well above any healthy burst write and
+// above ownerTimeout, so only a stalled link trips it. (Re-arming the
+// deadline timer on every flush cost measurable CPU per op.) The timed-out
+// write retires the link like any other write error.
+const writeTimeout = 500 * time.Millisecond
+
+// peerConn is a peer link and the write deadline flush last armed on it,
+// which only the event loop touches.
+type peerConn struct {
+	net.Conn
+	deadline time.Time
+}
+
 // freePeer is one outbound connection slot: dialed in the background by
-// pingLoop (never on the send path), probed by Ping, re-dialed with
-// backoff after failures. Sends encode into a pending buffer that flush
-// writes as one syscall per burst.
+// dialLoop (never on the send path), written only by the event loop, and
+// re-dialed with backoff after a write fails. Sends encode into a pending
+// buffer that flush writes as one syscall per burst.
 type freePeer struct {
 	ft   *FreeTransport
 	id   NodeID
 	addr string
 
 	mu      sync.Mutex
-	conn    *wire.Conn
+	conn    *peerConn
 	lastTry time.Time
 	closed  bool
 	buf     []byte // encoded frames awaiting flush
@@ -313,37 +309,25 @@ type freePeer struct {
 	spare   []byte // recycled flush buffer
 }
 
-// get returns the live conn if any; nil means currently unreachable. It
-// never dials — the event loop must not block behind a black-holed peer,
-// so connection building lives on pingLoop's goroutine.
-func (p *freePeer) get() *wire.Conn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.conn
-}
-
-// dial makes one backoff-gated connection attempt. Only pingLoop calls
-// it, and the network wait happens outside p.mu, so send/flush observe at
-// most a pointer read while a dial is hanging.
+// dial makes one backoff-gated connection attempt while the link is down.
+// Only dialLoop calls it — the event loop must not block behind a
+// black-holed peer — and the network wait happens outside p.mu, so
+// send/flush observe at most a pointer read while a dial is hanging.
 func (p *freePeer) dial() {
 	p.mu.Lock()
-	if p.closed || p.conn != nil || time.Since(p.lastTry) < p.ft.cfg.DialBackoff {
+	if p.closed || p.conn != nil || time.Since(p.lastTry) < p.ft.cfg.dialBackoff {
 		p.mu.Unlock()
 		return
 	}
 	p.lastTry = time.Now()
 	p.mu.Unlock()
-	nc, err := p.ft.cfg.dial(p.addr)
+	c, err := p.ft.cfg.dial(p.addr)
 	if err != nil {
 		return
 	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	c := wire.NewConn(nc)
 	p.mu.Lock()
 	if !p.closed && p.conn == nil {
-		p.conn, c = c, nil
+		p.conn, c = &peerConn{Conn: c}, nil
 	}
 	p.mu.Unlock()
 	if c != nil {
@@ -352,7 +336,7 @@ func (p *freePeer) dial() {
 }
 
 // drop retires a failed conn and emits the death notice (once per conn).
-func (p *freePeer) drop(c *wire.Conn) {
+func (p *freePeer) drop(c *peerConn) {
 	p.mu.Lock()
 	mine := p.conn == c
 	if mine {
@@ -393,9 +377,10 @@ func (p *freePeer) send(m *message) {
 	}
 }
 
-// flush writes the pending burst as one syscall. With no live connection
-// the burst is dropped and counted — the peer is unreachable and the
-// protocol retransmits.
+// flush writes the pending burst as one syscall, bounded by writeTimeout.
+// With no live connection the burst is dropped and counted — the peer is
+// unreachable and the protocol retransmits. A write that fails or times
+// out retires the connection and reports the peer down.
 func (p *freePeer) flush() {
 	p.mu.Lock()
 	buf, frames := p.buf, p.frames
@@ -411,10 +396,17 @@ func (p *freePeer) flush() {
 		p.reclaim(buf)
 		return
 	}
-	err := c.WriteFrames(buf)
+	var err error
+	if now := time.Now(); c.deadline.Sub(now) < writeTimeout/2 {
+		c.deadline = now.Add(writeTimeout)
+		err = c.SetWriteDeadline(c.deadline)
+	}
+	if err == nil {
+		_, err = c.Write(buf)
+	}
 	p.reclaim(buf)
 	if err != nil {
-		if !errors.Is(err, wire.ErrConnClosed) {
+		if !errors.Is(err, net.ErrClosed) {
 			p.ft.cfg.Logf("cluster: send to node %d: %v", p.id, err)
 		}
 		p.drop(c)
@@ -433,10 +425,12 @@ func (p *freePeer) reclaim(buf []byte) {
 	p.mu.Unlock()
 }
 
-func (p *freePeer) pingLoop() {
+// dialLoop keeps the link up: an eager dial, then a redial attempt on
+// every dialBackoff tick while the link is down.
+func (p *freePeer) dialLoop() {
 	defer p.ft.wg.Done()
-	p.dial() // connect eagerly; redials ride the ticker below
-	t := time.NewTicker(p.ft.cfg.PingEvery)
+	p.dial()
+	t := time.NewTicker(p.ft.cfg.dialBackoff)
 	defer t.Stop()
 	for {
 		select {
@@ -444,14 +438,7 @@ func (p *freePeer) pingLoop() {
 			return
 		case <-t.C:
 		}
-		if p.get() == nil {
-			p.dial()
-		}
-		if c := p.get(); c != nil {
-			if err := c.Ping(); err != nil {
-				p.drop(c)
-			}
-		}
+		p.dial()
 	}
 }
 

@@ -185,30 +185,12 @@ func emptyFrame(opcode byte) func([]byte, uint64) []byte {
 }
 
 // Ping issues the no-op round trip (docs/PROTOCOL.md §3.7) and blocks for
-// the empty response: a liveness probe that exercises the peer's full
-// read-dispatch-write path. internal/cluster's free-mode transport pings
-// each peer connection on a timer to detect dead nodes faster than TCP
-// would.
+// the empty response: a keepalive and reachability probe that exercises
+// the server's full read-dispatch-write path. cmd/loadgen pings its first
+// connection to check that the address speaks RPW1.
 func (c *Conn) Ping() error {
 	_, err := c.roundTrip(nil, emptyFrame(OpcodePing))
 	return err
-}
-
-// WriteFrames writes a pre-encoded sequence of complete frames as one
-// syscall — the coalescing point for a burst of one-way replication
-// frames. The caller owns buf (it is not recycled here) and is
-// responsible for every frame in it being well-formed.
-func (c *Conn) WriteFrames(buf []byte) error {
-	c.pmu.Lock()
-	err := c.readErr
-	c.pmu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.wmu.Lock()
-	_, werr := c.c.Write(buf)
-	c.wmu.Unlock()
-	return werr
 }
 
 // Drain sends the pipeline fence and blocks until the server confirms that

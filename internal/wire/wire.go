@@ -69,8 +69,8 @@ const (
 	// every request frame received before it has been answered (§3.5).
 	OpcodeDrain byte = 0x04
 	// OpcodePing is the no-op round trip: empty request payload, empty
-	// response payload. Clients and cluster peers use it as a liveness
-	// probe and RTT measurement (§3.7).
+	// response payload. Clients use it as a keepalive, reachability probe
+	// and RTT measurement (§3.7); cluster peer links never carry it.
 	OpcodePing byte = 0x05
 )
 

@@ -296,8 +296,9 @@ cluster)
   }
   baseline c0 c1 c2
   # Ownership at boot is not the preference order: each node's first dials
-  # to peers not yet listening fail, FreeTransport redials only on its ping
-  # ticker, and the silence outlasts OwnerTimeout, so boots run elections.
+  # to peers not yet listening fail, FreeTransport redials a down peer only
+  # every 250 ms or more, and the silence outlasts the 150 ms owner timeout,
+  # so boots run elections.
   # Wait until every shard has an owner and two reads agree, then kill the
   # node that owns shard 0 at that moment.
   prev="" settled=0
