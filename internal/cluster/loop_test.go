@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // TestSendPathNeverWaitsOnDial: with one peer black-holed (every dial to it
@@ -276,4 +277,52 @@ func TestPeerDeathReportedWithoutPing(t *testing.T) {
 	if age := time.Since(time.Unix(0, n0.lastHeard[1])); age < time.Hour {
 		t.Fatalf("node 1 last heard %v ago, want it aged past ownerTimeout (%v)", age, time.Hour)
 	}
+}
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestInboundBurstReadInFewSyscalls: a peer's burst of replication frames,
+// written as one flush, reaches the inbox from a few reads of the link, not
+// two reads per frame.
+func TestInboundBurstReadInFewSyscalls(t *testing.T) {
+	const burst, maxReads = 64, 4
+	ft, err := NewFreeTransport(0, []string{"127.0.0.1:0"}, FreeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ft.close()
+	cli, peer := net.Pipe()
+	defer cli.Close()
+	cc := &countingConn{Conn: peer}
+	served := make(chan struct{})
+	go func() { defer close(served); ft.serveInbound(cc) }()
+	var frames []byte
+	for i := 0; i < burst; i++ {
+		if frames, err = wire.AppendRepFrame(frames, wire.OpcodeRepHeartbeat, &wire.Rep{From: 1, Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go cli.Write(frames)
+	deadline := time.Now().Add(5 * time.Second).UnixNano()
+	for i := 0; i < burst; i++ {
+		m, ok := ft.recv(nil, deadline)
+		if !ok || m.rep.Seq != uint64(i) {
+			t.Fatalf("frame %d: ok=%v", i, ok)
+		}
+		ft.release(m)
+	}
+	if n := cc.reads.Load(); n > maxReads {
+		t.Errorf("%d frames took %d reads, want at most %d", burst, n, maxReads)
+	}
+	cli.Close()
+	<-served
 }

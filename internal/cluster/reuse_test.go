@@ -26,11 +26,13 @@ func keyOnShard(s, shards int) string {
 // free 3-node cluster, counted process-wide: the front end's call, the
 // route and done frames both ways, the owner's pipeline, the followers'
 // appends and acks, and every replica's store apply. The frames, calls and
-// pipeline reuse their memory, so what remains is the inner service.Store's
-// per-apply cost on three replicas, four objects each: 12 objects on
-// either shard, and each budget is two above. Before the reuse, the same
-// harness measured 50–51 objects on a shard node 0 owns and 57–58 on a
-// shard a peer owns.
+// pipeline reuse their memory, and so do the stores' submissions and
+// batches, so what remains is the slice of results each of the three
+// replicas' stores returns from DoBatch: 3 objects on either shard, the
+// budget. Before the stores recycled, each apply cost four objects, 12 in
+// all, against a budget of 14; before the cluster's reuse, the same harness
+// measured 50–51 objects on a shard node 0 owns and 57–58 on a shard a
+// peer owns.
 func TestClusterRoundTripAllocBudget(t *testing.T) {
 	nodes := startFreeCluster(t, 3, 2)
 	defer func() {
@@ -45,8 +47,8 @@ func TestClusterRoundTripAllocBudget(t *testing.T) {
 		shard  int
 		budget float64
 	}{
-		{"own-shard", 0, 14},  // node 0 owns shard 0
-		{"peer-shard", 1, 14}, // node 1 owns shard 1
+		{"own-shard", 0, 3},  // node 0 owns shard 0
+		{"peer-shard", 1, 3}, // node 1 owns shard 1
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := service.Op{Kind: service.OpPut, Key: keyOnShard(tc.shard, 2), Val: "value"}
@@ -58,9 +60,15 @@ func TestClusterRoundTripAllocBudget(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				do() // warm the pools, the arenas and the stores
 			}
-			if avg := testing.AllocsPerRun(1000, do); avg > tc.budget {
+			// Under -race the stores' pools drop a quarter of their
+			// submissions, so only a normal build is held to the budget.
+			avg := testing.AllocsPerRun(1000, do)
+			switch {
+			case raceEnabled:
+				t.Logf("Do allocates %.2f objects per call under -race (budget %.0f, not checked)", avg, tc.budget)
+			case avg > tc.budget:
 				t.Fatalf("Do allocates %.2f objects per call, budget %.0f", avg, tc.budget)
-			} else {
+			default:
 				t.Logf("Do allocates %.2f objects per call (budget %.0f)", avg, tc.budget)
 			}
 		})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -238,10 +239,11 @@ func (ft *FreeTransport) acceptLoop() {
 // it, so a payload is never overwritten while a decoded string aliases it.
 func (ft *FreeTransport) serveInbound(c net.Conn) {
 	defer c.Close()
+	br := bufio.NewReaderSize(c, 64<<10) // a burst of frames is one read syscall
 	var hdr [wire.HeaderSize]byte
 	var pool msgPool
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		h, err := wire.ParseHeader(hdr[:])
@@ -251,7 +253,7 @@ func (ft *FreeTransport) serveInbound(c net.Conn) {
 		}
 		m := pool.get()
 		m.buf = resize(m.buf, int(h.Len))
-		if _, err := io.ReadFull(c, m.buf); err != nil {
+		if _, err := io.ReadFull(br, m.buf); err != nil {
 			return
 		}
 		if !wire.IsRepOpcode(h.Opcode) {

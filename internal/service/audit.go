@@ -173,12 +173,12 @@ func (a *auditor) sampledKey(key string) bool {
 // observe offers one committed op to the auditor. It never blocks: when the
 // queue is full the record is dropped, which the auditor will detect as a
 // version gap and discard the affected window.
-func (a *auditor) observe(proc int, r *request, ret int64) {
-	if !a.sampledKey(r.op.Key) {
+func (a *auditor) observe(proc int, e *batchEntry, ret int64) {
+	if !a.sampledKey(e.op.Key) {
 		return
 	}
-	rec := auditRecord{key: r.op.Key, ver: r.ver, op: SpecOp(r.op, r.res)}
-	rec.op.Proc, rec.op.Call, rec.op.Ret = proc, r.call, ret
+	rec := auditRecord{key: e.op.Key, ver: e.ver, op: SpecOp(e.op, e.res)}
+	rec.op.Proc, rec.op.Call, rec.op.Ret = proc, e.call, ret
 	if a.in.offer(rec) {
 		a.sampled.Add(1)
 	} else {

@@ -18,8 +18,7 @@ func testAuditor(cfg AuditConfig) *auditor {
 // feed hands the auditor one completed op with explicit version and
 // timestamps, as the shard workers would post-commit.
 func feed(a *auditor, key string, ver uint64, call, ret int64, op Op, res Result) {
-	r := &request{op: op, call: call, res: res, ver: ver}
-	a.observe(0, r, ret)
+	a.observe(0, &batchEntry{op: op, call: call, res: res, ver: ver}, ret)
 }
 
 func drainAndStats(a *auditor) AuditStats {
@@ -196,20 +195,20 @@ func TestAuditorTrackedKeyBound(t *testing.T) {
 // cost on the serving path — allocates nothing, whatever the op's kind.
 func TestAuditObserveZeroAllocs(t *testing.T) {
 	a := newAuditor(AuditConfig{}.withDefaults(), newFreeRuntime()) // nobody takes: the mailbox holds the run
-	reqs := []*request{
+	ents := []batchEntry{
 		{op: Op{Kind: OpGet, Key: "k"}, res: Result{Val: "v", OK: true}},
 		{op: Op{Kind: OpPut, Key: "k", Val: "v"}, res: Result{Val: "v", OK: true}},
 		{op: Op{Kind: OpCAS, Key: "k", Old: "v", Val: "w"}, res: Result{Val: "w", OK: true}},
 	}
 	const runs = 100
 	if got := testing.AllocsPerRun(runs, func() {
-		for i, r := range reqs {
-			a.observe(i, r, 2)
+		for i := range ents {
+			a.observe(i, &ents[i], 2)
 		}
 	}); got != 0 {
 		t.Errorf("observe allocates %.1f objects per get+put+cas, want 0", got)
 	}
-	if st := a.stats(); st.SampledOps != int64((runs+1)*len(reqs)) || st.DroppedOps != 0 {
+	if st := a.stats(); st.SampledOps != int64((runs+1)*len(ents)) || st.DroppedOps != 0 {
 		t.Errorf("sampled %d dropped %d: the run did not go through the mailbox", st.SampledOps, st.DroppedOps)
 	}
 }

@@ -157,19 +157,27 @@ func BenchmarkServiceSweep(b *testing.B) {
 }
 
 // TestDoBatchAllocBudget pins what a client call allocates on the free
-// runtime: one submission per call, not a request and a channel per op.
-// testing.AllocsPerRun counts the whole process, so each figure includes the
-// workers' share — per grant window one batch, which holds a small window's
-// request list inline, plus a log cell amortised over a chunk — and it runs
-// on one P, so the submitter enqueues a whole call before a worker drains it
-// and the windows are full ones. A 1-op DoBatch is what every cluster
-// replica applies per committed entry, and Do is the wire path.
+// runtime: the slice of results DoBatch returns, and nothing else. The
+// call's submission (its request slab and done channel) comes from a pool
+// and goes back once the wait succeeds, and the worker's batch is reused
+// once the truncation floor has passed it. testing.AllocsPerRun counts the
+// whole process, so each figure includes the workers' share — a log cell
+// amortised over a chunk — and it runs on one P, so the submitter enqueues
+// a whole call before a worker drains it and the windows are full ones. A
+// 1-op DoBatch is what every cluster replica applies per committed entry,
+// and Do is the wire path.
 //
-// The single-op budgets are the counts measured once a grant window became
-// one allocation and the published position stopped boxing: 4 and 3, the
-// submission, its channel and the batch, plus the result slice DoBatch
-// returns. They were 10 and 8 at the commit before submissions, and 7 and 6
-// after it.
+// The store runs one worker per shard, so the count is the call's own. With
+// a second worker idle on AllocsPerRun's one P, the scheduler can keep that
+// worker off the P for a time slice; its replica then holds the truncation
+// floor, and batches it holds back are allocated afresh. That lag cost is a
+// property of the idle replica, not of the call, and the serving ladder
+// counts it end to end.
+//
+// The budgets are the counts measured once the log command carried its own
+// ops: 1, 1 and 0. They were 12, 4 and 3 at the commit before, when each
+// call took a fresh submission and channel and each grant window a fresh
+// batch, and 10 and 8 (the single-op rows) before submissions.
 //
 // The audit-on rows are the configuration production runs: the same calls,
 // mixed get/put/cas, with every op recorded, windowed and checked. The
@@ -199,10 +207,10 @@ func TestDoBatchAllocBudget(t *testing.T) {
 		ops     []Op
 		budgets [3]float64
 	}{
-		{"audit off", AuditConfig{Disabled: true}, puts, [3]float64{0.25 * 256, 4, 3}},
-		{"audit on", AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{0.125 * 256, 4, 3}},
+		{"audit off", AuditConfig{Disabled: true}, puts, [3]float64{1, 1, 0}},
+		{"audit on", AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{1, 1, 0}},
 	} {
-		s := New(Config{Shards: 1, Audit: cfg.audit})
+		s := New(Config{Shards: 1, WorkersPerShard: 1, Audit: cfg.audit})
 		ops := cfg.ops
 		for i, tc := range []struct {
 			name string

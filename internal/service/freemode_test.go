@@ -9,12 +9,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sched"
 )
 
 // TestFreeModeHammer drives mixed single and batched traffic, concurrent
@@ -389,9 +391,9 @@ func TestFreeModeBatchAndStatsUnderLoad(t *testing.T) {
 // is cancelled — returns ErrSaturated, and exactly the enqueued prefix
 // commits. The caller leaves while the prefix is still unanswered, so the
 // workers' completions count the submission down with nobody waiting: the
-// released tail and the prefix must add up to one close of its channel (a
-// second would panic the worker, and unsupervised that fails the run), and
-// the in-flight gauge must return to zero.
+// released tail and the prefix must add up to one signal on its channel (a
+// second would block the worker on the channel's full buffer and hang the
+// run), and the in-flight gauge must return to zero.
 func TestFreeModePartialBatch(t *testing.T) {
 	const depth, n = 4, 64
 	fs := fault.NewSet()
@@ -496,13 +498,18 @@ func TestFreeModeBatchDeadlineReplay(t *testing.T) {
 // off a submission's countdown: the caller releasing the tail it never
 // enqueued, and several workers answering the same prefix (a crashed
 // incarnation's batch is answered again by its successor). Each request
-// must count once whoever wins, so the channel closes exactly once — a
-// second close panics — and only after the last distinct answer.
+// must count once whoever wins, so done is signalled exactly once and only
+// after the last distinct answer, and the submission comes back to the pool
+// clean.
 func TestFreeModeSubmissionCountdown(t *testing.T) {
 	rt := newFreeRuntime()
 	for round := 0; round < 200; round++ {
 		const n, sent = 8, 5
-		sub := newSubmission(n)
+		sub := rt.submission(n)
+		ents := make([]batchEntry, sent)
+		for i := range ents {
+			ents[i].req, ents[i].res = &sub.reqs[i], Result{Val: fmt.Sprint(i), OK: true}
+		}
 		awaited := make(chan error, 1)
 		go func() { awaited <- rt.await(nil, context.Background(), sub, sent) }()
 		var wins atomic.Int64
@@ -512,7 +519,7 @@ func TestFreeModeSubmissionCountdown(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < sent-1; i++ {
-					if rt.complete(&sub.reqs[i]) {
+					if ents[i].answer(rt) {
 						wins.Add(1)
 					}
 				}
@@ -524,14 +531,199 @@ func TestFreeModeSubmissionCountdown(t *testing.T) {
 			t.Fatal("await returned with a request of the prefix unanswered")
 		case <-time.After(100 * time.Microsecond):
 		}
-		if !rt.complete(&sub.reqs[sent-1]) || rt.complete(&sub.reqs[sent-1]) {
+		if !ents[sent-1].answer(rt) || ents[sent-1].answer(rt) {
 			t.Fatal("the last answer must win once and lose once")
 		}
 		if err := <-awaited; err != nil {
 			t.Fatal(err)
 		}
-		if wins.Load() != sent-1 || sub.pending.Load() != 0 {
-			t.Fatalf("%d wins over %d requests, %d still pending", wins.Load(), sent-1, sub.pending.Load())
+		if wins.Load() != sent-1 || sub.pending.Load() != 0 || len(sub.done) != 0 {
+			t.Fatalf("%d wins over %d requests, %d still pending, %d signals left",
+				wins.Load(), sent-1, sub.pending.Load(), len(sub.done))
 		}
+		for i := range ents {
+			if want := fmt.Sprint(i); sub.reqs[i].res.Val != want {
+				t.Fatalf("request %d answered %q, want %q", i, sub.reqs[i].res.Val, want)
+			}
+		}
+		rt.recycle(sub)
+	}
+}
+
+// TestFreeModeAbandonedSubmissionNeverReused: a call that returns
+// ErrDeadline leaves its submission to the workers, which answer it when
+// its op commits later. The caller's next call must get a submission of
+// its own: on the abandoned one, the late answer would wake it early with
+// the abandoned op's result.
+func TestFreeModeAbandonedSubmissionNeverReused(t *testing.T) {
+	fs := fault.NewSet()
+	s := New(Config{Shards: 1, WorkersPerShard: 1, Faults: fs})
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		// Stall the put's window past its deadline, and the get's window
+		// too, so that the put's late answer lands while the get waits.
+		fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Delay, Delay: int64(50 * time.Millisecond), Count: 2})
+		dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		_, err := s.Do(dctx, Op{Kind: OpPut, Key: "k", Val: fmt.Sprintf("v%d", i)})
+		cancel()
+		if err != ErrDeadline {
+			t.Fatalf("call %d: %v, want ErrDeadline", i, err)
+		}
+		res, err := s.Do(ctx, Op{Kind: OpGet, Key: "unwritten"})
+		if err != nil || res != (Result{}) {
+			t.Fatalf("call %d: the get after an abandoned put returned %+v, %v, want a miss", i, res, err)
+		}
+	}
+	if val, _, err := s.Get(ctx, "k"); err != nil || val != "v4" {
+		t.Fatalf("k = %q, %v: the abandoned puts did not all commit", val, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Audit.Violations != 0 {
+		t.Fatalf("audit violations: %v", st.Audit.ViolationSamples)
+	}
+}
+
+// TestFreeModeFinishRerunSparesRecycledCalls: a recovering incarnation
+// re-runs finish over the batch its predecessor was answering. By then the
+// callers answered first may have recycled their submissions into new
+// calls; the re-run must answer none of those.
+func TestFreeModeFinishRerunSparesRecycledCalls(t *testing.T) {
+	s := New(Config{Shards: 1, WorkersPerShard: 1, Audit: AuditConfig{Disabled: true}})
+	ctx := context.Background()
+	ops := []Op{{Kind: OpPut, Key: "a", Val: "1"}, {Kind: OpPut, Key: "b", Val: "2"}}
+	if _, err := s.DoBatch(ctx, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Hand the slot's last batch back as if its incarnation had crashed
+	// while answering it.
+	sl := s.shards[0].slots[0]
+	b := sl.retired[len(sl.retired)-1]
+	sl.retired = sl.retired[:len(sl.retired)-1]
+	sl.inflight = b
+	if len(b.ents) != len(ops) {
+		t.Fatalf("last batch holds %d ops, want the call's %d", len(b.ents), len(ops))
+	}
+	// The caller's next call takes the same slab.
+	sub := b.ents[0].req.sub
+	sub.reset(len(ops))
+	sl.recoverPrev(sched.FreeProc(0))
+	if got := sub.pending.Load(); got != int64(len(ops)) || len(sub.done) != 0 {
+		t.Fatalf("re-run finish answered the new call: %d of %d pending, %d signals", got, len(ops), len(sub.done))
+	}
+	for i := range sub.reqs {
+		if sub.reqs[i].res != (Result{}) {
+			t.Fatalf("request %d of the new call holds %+v", i, sub.reqs[i].res)
+		}
+	}
+}
+
+// TestFreeModeLaggingReplicaAppliesOwnCopies: with one slot stalled, the
+// other commits a run of calls from one caller, whose slab is recycled and
+// overwritten with different ops by each call. The stalled slot applies
+// those batches only afterwards, and must still apply what was committed,
+// not what the slab holds by then.
+func TestFreeModeLaggingReplicaAppliesOwnCopies(t *testing.T) {
+	fs := fault.NewSet()
+	fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Delay, Delay: int64(100 * time.Millisecond)})
+	s := New(Config{Shards: 1, WorkersPerShard: 2, Faults: fs})
+	ctx := context.Background()
+	stalled := make(chan error, 1)
+	go func() { _, err := s.Do(ctx, Op{Kind: OpPut, Key: "stall", Val: "x"}); stalled <- err }()
+	for fs.Stats()[FaultWorkerPreCommit].Acted == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ops := make([]Op, 4)
+	for call := 0; call < 50; call++ {
+		for j := range ops {
+			ops[j] = Op{Kind: OpPut, Key: fmt.Sprintf("k%d-%d", call, j), Val: fmt.Sprintf("v%d", call)}
+		}
+		if _, err := s.DoBatch(ctx, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-stalled; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := s.shards[0].slots[0].rep, s.shards[0].slots[1].rep
+	if a.Pos() != b.Pos() {
+		t.Fatalf("replicas at positions %d and %d after close", a.Pos(), b.Pos())
+	}
+	if !reflect.DeepEqual(a.State(), b.State()) {
+		t.Fatalf("replicas diverged: %d keys and %d keys", len(a.State().keys), len(b.State().keys))
+	}
+	if n := len(a.State().keys); n != 1+50*len(ops) {
+		t.Fatalf("%d keys, want %d", n, 1+50*len(ops))
+	}
+	if st := s.Stats(); st.Audit.Violations != 0 {
+		t.Fatalf("audit violations: %v", st.Audit.ViolationSamples)
+	}
+}
+
+// TestFreeModeBatchReuseWaitsForFloor: a finished batch becomes free for
+// reuse only once every live slot's replica has passed its log position;
+// a condemned slot does not hold it back, and a freed batch is cleared.
+func TestFreeModeBatchReuseWaitsForFloor(t *testing.T) {
+	s := New(Config{Shards: 1, WorkersPerShard: 3, Audit: AuditConfig{Disabled: true}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := sched.FreeProc(0)
+	sh := s.shards[0]
+	sl := sh.slots[0]
+	r := &request{op: Op{Kind: OpPut, Key: "k", Val: "v"}}
+	for pos := 0; pos < 10; pos++ {
+		b := sl.newBatch([]*request{r})
+		b.pos = pos
+		sl.retire(b)
+	}
+	for _, tc := range []struct {
+		name      string
+		positions [3]int64
+		condemn   int // slot to condemn, or -1
+		floor     int
+	}{
+		{"slowest at 4", [3]int64{10, 4, 7}, -1, 4},
+		{"slowest at 4 again", [3]int64{10, 4, 7}, -1, 4},
+		{"slowest condemned", [3]int64{10, 4, 7}, 1, 7},
+		{"all past", [3]int64{10, 10, 10}, -1, 10},
+	} {
+		for i, pos := range tc.positions {
+			sh.slots[i].committed.Write(p, pos)
+		}
+		if tc.condemn >= 0 {
+			sh.slots[tc.condemn].condemned.Store(true)
+		}
+		floor := sh.truncate(p)
+		sl.reclaim(floor)
+		if floor != tc.floor {
+			t.Fatalf("%s: floor %d, want %d", tc.name, floor, tc.floor)
+		}
+		if len(sl.free) != tc.floor || len(sl.retired) != 10-tc.floor {
+			t.Fatalf("%s: %d free and %d retired, want %d and %d", tc.name, len(sl.free), len(sl.retired), tc.floor, 10-tc.floor)
+		}
+		for _, b := range sl.free {
+			if b.pos >= floor {
+				t.Fatalf("%s: batch at %d is free with a live replica at %d", tc.name, b.pos, floor)
+			}
+			if len(b.ents) != 0 || b.ents[:1][0].req != nil || b.ents[:1][0].op != (Op{}) {
+				t.Fatalf("%s: free batch at %d still holds its ops", tc.name, b.pos)
+			}
+		}
+		for _, b := range sl.retired {
+			if b.pos < floor {
+				t.Fatalf("%s: batch at %d retired below the floor %d", tc.name, b.pos, floor)
+			}
+		}
+	}
+	if b := sl.newBatch([]*request{r}); b.ents[0].req != r || len(sl.free) != 9 {
+		t.Fatalf("newBatch did not reuse a free batch")
 	}
 }

@@ -71,11 +71,17 @@ type Runtime interface {
 	// have been joined, so no further respawn races the close.
 	closeSeats()
 	joinSeats(waiter *sched.Proc)
+	// submission returns a submission for a call of n ops; recycle takes
+	// back one whose wait succeeded (see submission). The free runtime pools
+	// them. The virtual runtime hands out fresh ones and drops nothing: its
+	// history recorder keeps their requests after the run.
+	submission(n int) *submission
+	recycle(sub *submission)
 	// complete marks r answered and, when it was the last unanswered request
-	// of its submission, wakes the waiter. It is idempotent — a request
-	// answered by a crashed worker's batch may be re-answered by the
-	// recovering incarnation — and reports whether this call won.
-	complete(r *request) bool
+	// of its submission, wakes the waiter. It is called once per request
+	// per call: the batch entry's answered guard (see batchEntry.answer)
+	// keeps a recovering incarnation from answering twice.
+	complete(r *request)
 	// await blocks until the first sent requests of sub — the enqueued
 	// prefix; the rest were rejected mid-submission and are owed nothing —
 	// are answered, or ctx is done (free runtime only; the virtual runtime
@@ -154,10 +160,10 @@ type notifier interface {
 }
 
 // freeRuntime is the production substrate: real goroutines and channels,
-// wall-clock time. A client call costs one submission (see shard.go) however
-// many ops it carries — the request slab, the countdown and one done channel
-// — and one wakeup when the last of them is answered; the path takes no
-// locks beyond the submit/close RWMutex.
+// wall-clock time. A client call takes one submission (see shard.go) however
+// many ops it carries — the request slab, the countdown and its done
+// channel — from a pool, and one wakeup when the last of them is answered;
+// the path takes no locks beyond the submit/close RWMutex.
 type freeRuntime struct {
 	// mu guards closed. Submitters hold the read side across the enqueue so
 	// that markClosed cannot let the shard queues close while a send is in
@@ -171,6 +177,9 @@ type freeRuntime struct {
 	// joinSeats.
 	respawnID atomic.Int64
 	seatWG    sync.WaitGroup
+
+	// ones pools single-op submissions, slabs the larger ones.
+	ones, slabs sync.Pool
 }
 
 func newFreeRuntime() *freeRuntime { return &freeRuntime{} }
@@ -241,13 +250,33 @@ func (rt *freeRuntime) closeSeats() {}
 
 func (rt *freeRuntime) joinSeats(*sched.Proc) { rt.seatWG.Wait() }
 
-func (rt *freeRuntime) complete(r *request) bool {
-	if r.completed.CompareAndSwap(false, true) {
-		r.sub.release(1)
-		return true
+// pool is where a submission of n ops comes from and goes back to.
+func (rt *freeRuntime) pool(n int) *sync.Pool {
+	if n == 1 {
+		return &rt.ones
 	}
-	return false
+	return &rt.slabs
 }
+
+func (rt *freeRuntime) submission(n int) *submission {
+	sub, _ := rt.pool(n).Get().(*submission)
+	if sub == nil {
+		sub = &submission{done: make(chan struct{}, 1)}
+	}
+	sub.reset(n)
+	return sub
+}
+
+// recycle pools sub with its requests cleared, so a pooled slab pins no
+// payload.
+func (rt *freeRuntime) recycle(sub *submission) {
+	for i := range sub.reqs {
+		sub.reqs[i] = request{sub: sub}
+	}
+	rt.pool(len(sub.reqs)).Put(sub)
+}
+
+func (rt *freeRuntime) complete(r *request) { r.sub.release(1) }
 
 func (rt *freeRuntime) await(_ *sched.Proc, ctx context.Context, sub *submission, sent int) error {
 	if sent == 0 {

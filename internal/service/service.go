@@ -395,7 +395,7 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Re
 	if err := s.fireSend(p); err != nil {
 		return Result{}, err
 	}
-	sub := newSubmission(1)
+	sub := s.rt.submission(1)
 	r := &sub.reqs[0]
 	r.op, r.start = op, s.rt.now(p)
 	sh := s.shardOf(op.Key)
@@ -417,7 +417,9 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Re
 	if err != nil {
 		return Result{}, err
 	}
-	return r.res, nil
+	res := r.res
+	s.rt.recycle(sub)
+	return res, nil
 }
 
 // Get reads key.
@@ -466,7 +468,7 @@ func (s *Store) doBatch(p *sched.Proc, ctx context.Context, ops []Op) ([]Result,
 	if err := s.rt.beginSubmit(); err != nil {
 		return nil, err
 	}
-	sub := newSubmission(len(ops))
+	sub := s.rt.submission(len(ops))
 	sent := 0
 	var submitErr error
 	for i, op := range ops {
@@ -492,6 +494,7 @@ func (s *Store) doBatch(p *sched.Proc, ctx context.Context, ops []Op) ([]Result,
 	for i := range out {
 		out[i] = sub.reqs[i].res
 	}
+	s.rt.recycle(sub)
 	return out, nil
 }
 

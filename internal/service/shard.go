@@ -10,63 +10,67 @@ import (
 	"repro/internal/universal"
 )
 
-// request is one in-flight client command. It lives in its submission's
-// slab, never on its own.
+// request is one client command as its caller submitted it: the caller
+// writes op, call and start before the enqueue, and the answer writes res.
+// It lives in its submission's slab, never on its own, and no worker reads
+// it once it is answered (the log command carries its own copy, see batch).
 type request struct {
 	op    Op
 	call  int64 // logical clock at submission (audit interval start)
 	start int64 // runtime clock at submission (latency)
 	res   Result
-	ver   uint64 // per-key state-machine version of this op
-	// sub is the submission this request counts toward; completed makes
-	// answering idempotent on the free runtime (a batch interrupted
-	// mid-answer by a crash is finished again by the recovering incarnation,
-	// and must decrement sub once). answered is the virtual runtime's signal
-	// (written under the step token).
-	sub       *submission
-	completed atomic.Bool
-	answered  bool
+	// sub is the submission this request counts toward. answered is the
+	// virtual runtime's signal (written under the step token).
+	sub      *submission
+	answered bool
 }
 
 // submission is one client call — a Do or a whole DoBatch: the slab of its
 // requests, index-aligned with the call's ops, and the single completion
 // they share. pending counts the requests not yet answered (or never
-// enqueued and released); whoever takes it to zero closes done, so the
+// enqueued and released); whoever takes it to zero signals done, so the
 // caller waits once however many ops it submitted. The virtual runtime uses
 // neither: it parks on each request's answered flag in turn.
 //
-// The slab outlives a caller that gave up (ErrDeadline): queues, batches and
-// log cells still point into it and the owning workers still answer it. It
-// becomes garbage when the log truncates past those batches (see
-// docs/ARCHITECTURE.md, "One completion per call").
+// On the free runtime a submission is recycled: done is 1-buffered,
+// signalled once per call and never closed, and the caller hands the
+// submission back after a wait that succeeded, when every request it sent
+// has been answered and no worker will touch it again. A caller that gave
+// up (ErrDeadline) never hands it back: its requests may still be answered
+// after the call returned (see docs/ARCHITECTURE.md, "One completion per
+// call").
 type submission struct {
 	reqs    []request
 	pending atomic.Int64
 	done    chan struct{}
-	// one backs reqs for a single-op submission, so Do allocates the
-	// submission and its channel and nothing else.
-	one [1]request
+	// one backs reqs for a single-op submission; slab backs a larger one
+	// and is kept for the next call that fits it.
+	one  [1]request
+	slab []request
 }
 
-func newSubmission(n int) *submission {
-	sub := &submission{done: make(chan struct{})}
-	if n == 1 {
+// reset readies sub for a call of n ops.
+func (sub *submission) reset(n int) {
+	switch {
+	case n == 1:
 		sub.reqs = sub.one[:]
-	} else {
-		sub.reqs = make([]request, n)
+	case cap(sub.slab) >= n:
+		sub.reqs = sub.slab[:n]
+	default:
+		sub.slab = make([]request, n)
+		sub.reqs = sub.slab
 	}
 	for i := range sub.reqs {
 		sub.reqs[i].sub = sub
 	}
 	sub.pending.Store(int64(n))
-	return sub
 }
 
 // release takes n requests off the countdown: one answered by a worker, or
 // the tail a rejected submission never enqueued.
 func (sub *submission) release(n int) {
 	if sub.pending.Add(-int64(n)) == 0 {
-		close(sub.done)
+		sub.done <- struct{}{}
 	}
 }
 
@@ -115,6 +119,12 @@ func newKVState() kvState {
 // exactly the "commands must be globally unique" requirement of
 // universal.Replica.Exec.
 //
+// A batch is self-contained: every replica applies it, long after its
+// callers may have been answered and have reused their requests, so it
+// carries copies of its window's ops (ents), and each entry's answered
+// guard. The owning slot recycles it once the shard's truncation floor has
+// passed its log position (see slot.retire).
+//
 // decided and counted are the crash-recovery bookkeeping, written by the
 // owning slot's serving proc (single writer; the death-notice handoff
 // through the supervisor orders a successor's reads): decided flips the
@@ -124,10 +134,8 @@ func newKVState() kvState {
 // landing between them and the client completions.
 type batch struct {
 	owner *slot
-	reqs  []*request
-	// inline backs reqs for a small window, so committing one is a single
-	// allocation.
-	inline [inlineReqs]*request
+	ents  []batchEntry
+	pos   int // log position, set when decided
 	// recorded marks the batch captured by the history recorder at its
 	// first apply (virtual runtime only; written under the step token).
 	recorded bool
@@ -135,9 +143,36 @@ type batch struct {
 	counted  bool
 }
 
-// inlineReqs is the largest grant window whose request list lives inside
-// its batch.
-const inlineReqs = 4
+// batchEntry is one command of a batch: the caller's op, call and start,
+// copied at commit; the owner's apply result; and the request it answers.
+// answered makes answering idempotent: a batch interrupted mid-answer by a
+// crash is finished again by the recovering incarnation, which must
+// neither count a request twice nor touch one its caller has since reused.
+type batchEntry struct {
+	op       Op
+	call     int64
+	start    int64
+	res      Result
+	ver      uint64 // per-key state-machine version of this op
+	req      *request
+	answered atomic.Bool
+}
+
+// answer hands e's result to its request and signals the caller, once
+// however many times finish runs over e, and reports whether this call did.
+func (e *batchEntry) answer(rt Runtime) bool {
+	if !e.answered.CompareAndSwap(false, true) {
+		return false
+	}
+	e.req.res = e.res
+	rt.complete(e.req)
+	return true
+}
+
+// maxFreeBatches bounds a slot's free list, so a long lag (a slot idle or
+// stalled while its peers commit) leaves at most this many spare batches
+// behind it.
+const maxFreeBatches = 1024
 
 // cellChunk is how many log cells newShard allocates at once.
 const cellChunk = 64
@@ -206,12 +241,13 @@ func (sh *shard) frontier(p *sched.Proc) int64 {
 }
 
 // truncate releases log cells every live slot's replica has passed, so a
-// long-running store does not pin every committed batch (and its client
-// requests) forever. Published positions only trail the replicas, so the
-// minimum over them is always a safe truncation limit. Condemned slots
-// (crash-loop breaker tripped, no successor coming) are excluded — their
-// frozen position must not pin the log floor forever.
-func (sh *shard) truncate(p *sched.Proc) {
+// long-running store does not pin every committed batch forever, and
+// returns that floor: no live replica will read a position below it again.
+// Published positions only trail the replicas, so the minimum over them is
+// always a safe truncation limit. Condemned slots (crash-loop breaker
+// tripped, no successor coming) are excluded — their frozen position must
+// not pin the log floor forever.
+func (sh *shard) truncate(p *sched.Proc) int {
 	min := int64(1<<62 - 1)
 	live := 0
 	for _, sl := range sh.slots {
@@ -224,9 +260,10 @@ func (sh *shard) truncate(p *sched.Proc) {
 		}
 	}
 	if live == 0 {
-		return
+		return 0
 	}
 	sh.log.Truncate(int(min))
+	return int(min)
 }
 
 // slot is one submitter seat of a shard. The replica and its published
@@ -266,6 +303,13 @@ type slot struct {
 	buf      []*request
 	inflight *batch
 	diedAt   int64
+
+	// retired holds this slot's finished batches in log order until the
+	// truncation floor passes them; free holds the ones it has passed,
+	// cleared and ready for reuse. Only the serving incarnation touches
+	// them.
+	retired []*batch
+	free    []*batch
 }
 
 // syncInterval is how often an idle free-runtime worker catches its replica
@@ -359,10 +403,11 @@ func (sl *slot) recoverPrev(p *sched.Proc) {
 	if b := sl.inflight; b != nil {
 		if !b.decided {
 			sl.rep.Exec(p, b)
-			b.decided = true
+			b.pos, b.decided = sl.rep.Pos()-1, true
 		}
 		sl.finish(p, b)
 		sl.inflight = nil
+		sl.retire(b)
 	} else if len(sl.buf) > 0 {
 		sl.commit(p, sl.buf)
 	}
@@ -380,7 +425,7 @@ func (sl *slot) catchUp(p *sched.Proc) {
 	}
 	sl.rep.Sync(p, int(frontier), nil)
 	sl.committed.Write(p, int64(sl.rep.Pos()))
-	sl.sh.truncate(p)
+	sl.reclaim(sl.sh.truncate(p))
 }
 
 // commit proposes reqs as one log command, waits for the universal
@@ -393,26 +438,71 @@ func (sl *slot) catchUp(p *sched.Proc) {
 // it needs to finish without double-deciding or double-counting.
 func (sl *slot) commit(p *sched.Proc, reqs []*request) {
 	st := sl.sh.store
-	b := &batch{owner: sl}
-	b.reqs = append(b.inline[:0], reqs...) // a window past inlineReqs moves out
+	b := sl.newBatch(reqs)
 	sl.inflight = b
 	st.firePoint(p, FaultWorkerPreCommit)
 	sl.rep.Exec(p, b)
-	b.decided = true
+	b.pos, b.decided = sl.rep.Pos()-1, true
 	st.firePoint(p, FaultWorkerPostCommit)
 	sl.finish(p, b)
 	sl.inflight = nil
+	sl.retire(b)
+}
+
+// newBatch returns a batch holding copies of reqs, reusing a free one.
+func (sl *slot) newBatch(reqs []*request) *batch {
+	var b *batch
+	if n := len(sl.free); n > 0 {
+		b = sl.free[n-1]
+		sl.free[n-1] = nil
+		sl.free = sl.free[:n-1]
+	} else {
+		b = &batch{owner: sl}
+	}
+	if cap(b.ents) < len(reqs) {
+		b.ents = make([]batchEntry, len(reqs))
+	}
+	b.ents = b.ents[:len(reqs)]
+	for i, r := range reqs {
+		e := &b.ents[i]
+		e.op, e.call, e.start, e.req = r.op, r.call, r.start, r
+	}
+	return b
+}
+
+// retire queues a finished batch until no live replica will read it.
+func (sl *slot) retire(b *batch) { sl.retired = append(sl.retired, b) }
+
+// reclaim frees the retired batches below floor, the shard's truncation
+// floor: every live replica has applied them and the log has dropped their
+// cells. Each is cleared on the way, so a free batch pins no payload and
+// answers no request.
+func (sl *slot) reclaim(floor int) {
+	k := 0
+	for ; k < len(sl.retired) && sl.retired[k].pos < floor; k++ {
+		b := sl.retired[k]
+		clear(b.ents)
+		*b = batch{owner: sl, ents: b.ents[:0]}
+		if len(sl.free) < maxFreeBatches {
+			sl.free = append(sl.free, b)
+		}
+	}
+	if k > 0 {
+		n := copy(sl.retired, sl.retired[k:])
+		clear(sl.retired[n:])
+		sl.retired = sl.retired[:n]
+	}
 }
 
 // finish publishes the post-commit side effects of a decided batch:
 // position, truncation, stats, audit records, and the client completions.
-// It is crash-idempotent — counted guards the once-only effects, and
-// request completion is idempotent in the runtime — so a recovering
-// incarnation can safely re-run it on an inherited batch.
+// It is crash-idempotent — counted guards the once-only effects, and each
+// entry's answered guard its completion — so a recovering incarnation can
+// safely re-run it on an inherited batch.
 func (sl *slot) finish(p *sched.Proc, b *batch) {
 	st := sl.sh.store
 	sl.committed.Write(p, int64(sl.rep.Pos()))
-	sl.sh.truncate(p)
+	sl.reclaim(sl.sh.truncate(p))
 	if !b.counted {
 		b.counted = true
 		ret := st.clock.Add(1)
@@ -427,32 +517,34 @@ func (sl *slot) finish(p *sched.Proc, b *batch) {
 			sl.diedAt = 0
 		}
 		mets.batches.IncAt(sl.gid)
-		mets.batchOcc.ObserveAt(sl.gid, int64(len(b.reqs)))
-		for _, r := range b.reqs {
-			mets.ops[r.op.Kind].IncAt(sl.gid)
-			mets.latency[r.op.Kind].ObserveAt(sl.gid, now-r.start)
+		mets.batchOcc.ObserveAt(sl.gid, int64(len(b.ents)))
+		for i := range b.ents {
+			e := &b.ents[i]
+			mets.ops[e.op.Kind].IncAt(sl.gid)
+			mets.latency[e.op.Kind].ObserveAt(sl.gid, now-e.start)
 		}
-		mets.inflight.AddAt(sl.sh.id, -int64(len(b.reqs)))
+		mets.inflight.AddAt(sl.sh.id, -int64(len(b.ents)))
 		if a := st.audit; a != nil {
-			for _, r := range b.reqs {
+			for i := range b.ents {
 				if !st.firePoint(p, FaultAuditRecord) {
-					a.observe(sl.gid, r, ret)
+					a.observe(sl.gid, &b.ents[i], ret)
 				}
 			}
 		}
 	}
-	for _, r := range b.reqs {
-		st.rt.complete(r)
+	for i := range b.ents {
+		b.ents[i].answer(st.rt)
 	}
 }
 
 // applyBatch is the deterministic state machine. It runs once per log
 // command on every replica of the shard; each replica mutates only its own
-// state. The batch's owner additionally records results and per-key
-// versions into the requests — exactly once, since its replica applies
-// each position exactly once — and, under the virtual runtime, whichever
-// replica applies a position first captures the batch's ground-truth
-// results into the complete-history recorder.
+// state and reads only the batch's own copies of its ops. The batch's owner
+// additionally records results and per-key versions into the entries —
+// exactly once, since its replica applies each position exactly once — and,
+// under the virtual runtime, whichever replica applies a position first
+// captures the batch's ground-truth results into the complete-history
+// recorder.
 //
 // Identified ops (op.ID != 0) are deduplicated against the replicated
 // dedup table: a retry of an already-applied ID replays the remembered
@@ -479,8 +571,9 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 		b.recorded = true
 		ret = st.clock.Add(1)
 	}
-	for _, r := range b.reqs {
-		id, hit := r.op.ID, false
+	for i := range b.ents {
+		cmd := &b.ents[i]
+		id, hit := cmd.op.ID, false
 		if id != 0 {
 			var c dedupEntry
 			if c, hit = m.dedup[id]; hit {
@@ -489,10 +582,10 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 				}
 				if !st.debugNoDedup {
 					if own {
-						r.res, r.ver = c.res, c.ver
+						cmd.res, cmd.ver = c.res, c.ver
 					}
 					if record {
-						st.rec.recordDup(r)
+						st.rec.recordDup(cmd.req)
 					}
 					continue
 				}
@@ -506,29 +599,28 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 				}
 			}
 		}
-		e := m.keys[r.op.Key]
+		e := m.keys[cmd.op.Key]
 		e.ver++
 		var res Result
-		switch r.op.Kind {
+		switch cmd.op.Kind {
 		case OpGet:
 			res = Result{Val: e.val, OK: e.exists}
 		case OpPut:
-			res = Result{Val: r.op.Val, OK: true}
-			if st.debugDropPuts == "" || r.op.Key != st.debugDropPuts {
-				e.val, e.exists = r.op.Val, true
+			res = Result{Val: cmd.op.Val, OK: true}
+			if st.debugDropPuts == "" || cmd.op.Key != st.debugDropPuts {
+				e.val, e.exists = cmd.op.Val, true
 			}
 		case OpCAS:
-			if e.val == r.op.Old {
-				e.val, e.exists = r.op.Val, true
-				res = Result{Val: r.op.Val, OK: true}
+			if e.val == cmd.op.Old {
+				e.val, e.exists = cmd.op.Val, true
+				res = Result{Val: cmd.op.Val, OK: true}
 			} else {
 				res = Result{Val: e.val, OK: false}
 			}
 		}
-		m.keys[r.op.Key] = e
+		m.keys[cmd.op.Key] = e
 		if own {
-			r.res = res
-			r.ver = e.ver
+			cmd.res, cmd.ver = res, e.ver
 		}
 		if id != 0 && !hit {
 			m.dedup[id] = dedupEntry{res: res, ver: e.ver}
@@ -542,7 +634,7 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 			}
 		}
 		if record {
-			st.rec.record(r, res, e.ver, ret)
+			st.rec.record(cmd.req, res, e.ver, ret)
 		}
 	}
 	return m

@@ -236,13 +236,15 @@ func (vr *VirtualRuntime) joinSeats(waiter *sched.Proc) {
 
 func (vr *VirtualRuntime) newNotifier(int) notifier { return &virtualNotifier{} }
 
-func (vr *VirtualRuntime) complete(r *request) bool {
-	if r.answered {
-		return false
-	}
-	r.answered = true
-	return true
+func (vr *VirtualRuntime) submission(n int) *submission {
+	sub := &submission{}
+	sub.reset(n)
+	return sub
 }
+
+func (vr *VirtualRuntime) recycle(*submission) {}
+
+func (vr *VirtualRuntime) complete(r *request) { r.answered = true }
 
 // await parks on each enqueued request in turn until it is answered — one
 // park per request, in submission order, which is what every recorded

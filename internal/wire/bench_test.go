@@ -324,12 +324,13 @@ func BenchmarkWireOneOp(b *testing.B) {
 
 // TestWireRoundTripAllocBudget pins what one round trip allocates, client,
 // server and store together, in the configuration cmd/served runs. Do is
-// the client's response payload, the server's op payload, the store's
-// submission and its channel, and the grant window's batch; a 1-op DoBatch
-// adds the server's decoded op slice and the store's result slice. The
-// budgets are the counts measured when the round trip stopped allocating
-// its call, its handler goroutine, its encode buffers and its log cell; its
-// parent read 13 and 15.
+// the client's response payload and the server's op payload, both kept by
+// their readers; a 1-op DoBatch adds the server's decoded op slice and the
+// store's result slice. The budgets are the counts measured once the store
+// recycled its submissions and batches; before, they were 5 and 7, the
+// store's submission, its channel and the grant window's batch on top, and
+// 13 and 15 before the round trip stopped allocating its call, its handler
+// goroutine, its encode buffers and its log cell.
 func TestWireRoundTripAllocBudget(t *testing.T) {
 	store, conns := startOneOp(t, 1)
 	c := conns[0]
@@ -340,13 +341,13 @@ func TestWireRoundTripAllocBudget(t *testing.T) {
 		budget float64
 		call   func()
 	}{
-		{"Do", 5, func() {
+		{"Do", 2, func() {
 			i++
 			if _, err := c.Do(oneOp(i)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"1-op DoBatch", 7, func() {
+		{"1-op DoBatch", 4, func() {
 			i++
 			var err error
 			if results, err = c.DoBatch([]service.Op{oneOp(i)}, results[:0]); err != nil {

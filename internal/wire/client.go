@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,9 +225,10 @@ func (c *Conn) readLoop() {
 }
 
 func (c *Conn) read() error {
+	br := bufio.NewReaderSize(c.c, 64<<10) // a burst of responses is one read syscall
 	var hdr [HeaderSize]byte
 	for {
-		if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return err
 		}
 		h, err := ParseHeader(hdr[:])
@@ -241,7 +243,7 @@ func (c *Conn) read() error {
 		var payload []byte
 		if h.Len > 0 {
 			payload = make([]byte, h.Len)
-			if _, err := io.ReadFull(c.c, payload); err != nil {
+			if _, err := io.ReadFull(br, payload); err != nil {
 				return err
 			}
 		}

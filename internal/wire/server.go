@@ -279,9 +279,12 @@ func (sc *serverConn) writeLoop() {
 // answered best-effort and then the loop returns, closing the connection
 // (docs/PROTOCOL.md §4).
 func (sc *serverConn) readLoop() error {
+	// One buffered reader per connection: a burst of frames costs one read
+	// syscall, not two per frame.
+	br := bufio.NewReaderSize(sc.c, 64<<10)
 	var hdr [HeaderSize]byte
 	for {
-		if _, err := io.ReadFull(sc.c, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return err
 		}
 		h, err := ParseHeader(hdr[:])
@@ -302,7 +305,7 @@ func (sc *serverConn) readLoop() error {
 		var payload []byte
 		if h.Len > 0 {
 			payload = make([]byte, h.Len)
-			if _, err := io.ReadFull(sc.c, payload); err != nil {
+			if _, err := io.ReadFull(br, payload); err != nil {
 				return err
 			}
 		}

@@ -784,3 +784,68 @@ func TestConnDeathFailsEachCallOnce(t *testing.T) {
 		}
 	}
 }
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestBurstReadInFewSyscalls: a burst of frames that arrives in one write
+// is decoded from a few reads of the connection, on either end, not two
+// reads per frame.
+func TestBurstReadInFewSyscalls(t *testing.T) {
+	const burst, maxReads = 64, 4
+	t.Run("server", func(t *testing.T) {
+		cli, peer := net.Pipe()
+		defer cli.Close()
+		cc := &countingConn{Conn: peer}
+		sc := NewServer(nil, ServerConfig{}).track(cc)
+		served := make(chan struct{})
+		go func() { defer close(served); sc.serve() }()
+		var frames []byte
+		for i := 0; i < burst; i++ {
+			frames = emptyFrame(OpcodePing)(frames, uint64(i+1))
+		}
+		go cli.Write(frames)
+		for i := 0; i < burst; i++ {
+			if h, _ := readFrameT(t, cli); h.Opcode != OpcodePing || h.ReqID != uint64(i+1) {
+				t.Fatalf("answer %d: %+v", i, h)
+			}
+		}
+		if n := cc.reads.Load(); n > maxReads {
+			t.Errorf("%d pings took %d reads, want at most %d", burst, n, maxReads)
+		}
+		cli.Close()
+		<-served
+	})
+	t.Run("client", func(t *testing.T) {
+		cli, peer := net.Pipe()
+		defer peer.Close()
+		cc := &countingConn{Conn: cli}
+		c := NewConn(cc)
+		defer c.Close()
+		go func() {
+			h, _ := readFrameT(t, peer)
+			// Answers to calls nobody waits for are decoded and dropped;
+			// the ping's own answer ends the burst.
+			var frames []byte
+			for i := 0; i < burst-1; i++ {
+				frames = AppendResultFrame(frames, h.ReqID+1000+uint64(i), service.Result{OK: true, Val: "v"})
+			}
+			r := response{opcode: OpcodePing, reqid: h.ReqID}
+			peer.Write(r.appendFrame(frames))
+		}()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if n := cc.reads.Load(); n > maxReads {
+			t.Errorf("%d answers took %d reads, want at most %d", burst, n, maxReads)
+		}
+	})
+}

@@ -20,10 +20,10 @@ cd "$(dirname "$0")/.."
 #
 #   workload        budget  clean (P=2 | P=4)              planted
 budgets=(
-  "store-batch     0.35    0.136-0.176 | 0.151-0.170      1.14-1.16"
-  "wire-single     5.5     5.090-5.110 | 5.087-5.106      6.09-6.10"
-  "cluster-batch   2.6     2.00-2.23   | 2.10-2.23        3.04-3.16"
-  "cluster-single  13.15   12.63-12.68 | 12.59-12.64      13.62-13.67"
+  "store-batch     0.2     0.066-0.091 | 0.060-0.087      1.061-1.062"
+  "wire-single     2.6     2.082-2.090 | 2.081-2.087      3.084-3.087"
+  "cluster-batch   2.4     1.62-2.16   | 1.67-1.80        2.68-2.81"
+  "cluster-single  4.2     3.63-3.75   | 3.59-3.64        4.60-4.70"
 )
 
 log=$(mktemp)
