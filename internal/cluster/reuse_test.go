@@ -30,9 +30,11 @@ func keyOnShard(s, shards int) string {
 // batches, so what remains is the slice of results each of the three
 // replicas' stores returns from DoBatch: 3 objects on either shard. Each
 // budget is two above, as before: on a machine busy with other processes a
-// run read 5. Before the stores recycled, each apply cost four objects, 12
-// in all; before the cluster's reuse, the same harness measured 50–51
-// objects on a shard node 0 owns and 57–58 on a shard a peer owns.
+// run read 5. Under -race it reads 4, because a race build's sync.Pool
+// drops a random quarter of the submissions put back. Before the stores
+// recycled, each apply cost four objects, 12 in all; before the cluster's
+// reuse, the same harness measured 50–51 objects on a shard node 0 owns
+// and 57–58 on a shard a peer owns.
 func TestClusterRoundTripAllocBudget(t *testing.T) {
 	nodes := startFreeCluster(t, 3, 2)
 	defer func() {
@@ -60,15 +62,9 @@ func TestClusterRoundTripAllocBudget(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				do() // warm the pools, the arenas and the stores
 			}
-			// Under -race the stores' pools drop a quarter of their
-			// submissions, so only a normal build is held to the budget.
-			avg := testing.AllocsPerRun(1000, do)
-			switch {
-			case raceEnabled:
-				t.Logf("Do allocates %.2f objects per call under -race (budget %.0f, not checked)", avg, tc.budget)
-			case avg > tc.budget:
+			if avg := testing.AllocsPerRun(1000, do); avg > tc.budget {
 				t.Fatalf("Do allocates %.2f objects per call, budget %.0f", avg, tc.budget)
-			default:
+			} else {
 				t.Logf("Do allocates %.2f objects per call (budget %.0f)", avg, tc.budget)
 			}
 		})

@@ -167,17 +167,21 @@ func BenchmarkServiceSweep(b *testing.B) {
 // 1-op DoBatch is what every cluster replica applies per committed entry,
 // and Do is the wire path.
 //
-// The store runs one worker per shard, so the count is the call's own. With
-// a second worker idle on AllocsPerRun's one P, the scheduler can keep that
-// worker off the P for a time slice; its replica then holds the truncation
-// floor, and batches it holds back are allocated afresh. That lag cost is a
-// property of the idle replica, not of the call, and the serving ladder
-// counts it end to end.
+// Each configuration runs twice: with one worker per shard, where the
+// count is the call's own, and with the default two. With two, AllocsPerRun's
+// one P can keep the idle worker off the CPU for a time slice; its replica
+// then holds the truncation floor, and its peer allocates each window's
+// batch afresh, the batch and its entries, until the idle one catches up.
+// That lag belongs to the idle replica, not to the call, and it caps the
+// count at the call's own plus two objects per window.
 //
-// The budgets are the counts measured once the log command carried its own
-// ops: 1, 1 and 0. They were 12, 4 and 3 at the commit before, when each
-// call took a fresh submission and channel and each grant window a fresh
-// batch, and 10 and 8 (the single-op rows) before submissions.
+// The one-worker budgets are the counts measured once the log command
+// carried its own ops: 1, 1 and 0. The two-worker budgets are that cap: 9
+// (four windows of 64), 3 and 2. Of 200 runs, two copies of the test side
+// by side, most read 1, 1 and 0 and none read more than the cap.
+// The default store read 12, 4 and 3 at the commit before, when each call
+// took a fresh submission and channel and each grant window a fresh batch,
+// and 10 and 8 (the single-op rows) before submissions.
 //
 // The audit-on rows are the configuration production runs: the same calls,
 // mixed get/put/cas, with every op recorded, windowed and checked. The
@@ -203,14 +207,17 @@ func TestDoBatchAllocBudget(t *testing.T) {
 	}
 	for _, cfg := range []struct {
 		name    string
+		workers int
 		audit   AuditConfig
 		ops     []Op
 		budgets [3]float64
 	}{
-		{"audit off", AuditConfig{Disabled: true}, puts, [3]float64{1, 1, 0}},
-		{"audit on", AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{1, 1, 0}},
+		{"audit off, 1 worker", 1, AuditConfig{Disabled: true}, puts, [3]float64{1, 1, 0}},
+		{"audit on, 1 worker", 1, AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{1, 1, 0}},
+		{"audit off, 2 workers", 2, AuditConfig{Disabled: true}, puts, [3]float64{9, 3, 2}},
+		{"audit on, 2 workers", 2, AuditConfig{QueueDepth: 1 << 16}, mixed, [3]float64{9, 3, 2}},
 	} {
-		s := New(Config{Shards: 1, WorkersPerShard: 1, Audit: cfg.audit})
+		s := New(Config{Shards: 1, WorkersPerShard: cfg.workers, Audit: cfg.audit})
 		ops := cfg.ops
 		for i, tc := range []struct {
 			name string

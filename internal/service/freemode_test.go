@@ -562,8 +562,11 @@ func TestFreeModeAbandonedSubmissionNeverReused(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// Stall the put's window past its deadline, and the get's window
 		// too, so that the put's late answer lands while the get waits.
+		// The deadline leaves the put time to be enqueued first: the
+		// enqueue's select may pick an expired context over a free slot
+		// and return ErrSaturated.
 		fs.Arm(FaultWorkerPreCommit, fault.Rule{Action: fault.Delay, Delay: int64(50 * time.Millisecond), Count: 2})
-		dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		dctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 		_, err := s.Do(dctx, Op{Kind: OpPut, Key: "k", Val: fmt.Sprintf("v%d", i)})
 		cancel()
 		if err != ErrDeadline {
@@ -586,9 +589,10 @@ func TestFreeModeAbandonedSubmissionNeverReused(t *testing.T) {
 }
 
 // TestFreeModeFinishRerunSparesRecycledCalls: a recovering incarnation
-// re-runs finish over the batch its predecessor was answering. By then the
-// callers answered first may have recycled their submissions into new
-// calls; the re-run must answer none of those.
+// re-runs finish over the batch its predecessor was answering, or commits
+// the requests its predecessor dequeued but never put into a batch. By then
+// the callers answered first may have recycled their submissions into new
+// calls; the recovery must answer none of those.
 func TestFreeModeFinishRerunSparesRecycledCalls(t *testing.T) {
 	s := New(Config{Shards: 1, WorkersPerShard: 1, Audit: AuditConfig{Disabled: true}})
 	ctx := context.Background()
@@ -599,27 +603,42 @@ func TestFreeModeFinishRerunSparesRecycledCalls(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Hand the slot's last batch back as if its incarnation had crashed
-	// while answering it.
 	sl := s.shards[0].slots[0]
 	b := sl.retired[len(sl.retired)-1]
 	sl.retired = sl.retired[:len(sl.retired)-1]
-	sl.inflight = b
-	if len(b.ents) != len(ops) {
-		t.Fatalf("last batch holds %d ops, want the call's %d", len(b.ents), len(ops))
-	}
-	// The caller's next call takes the same slab.
+	// The call's ops may have been split over two windows; the last holds
+	// at least one of them.
 	sub := b.ents[0].req.sub
-	sub.reset(len(ops))
-	sl.recoverPrev(sched.FreeProc(0))
-	if got := sub.pending.Load(); got != int64(len(ops)) || len(sub.done) != 0 {
-		t.Fatalf("re-run finish answered the new call: %d of %d pending, %d signals", got, len(ops), len(sub.done))
-	}
-	for i := range sub.reqs {
-		if sub.reqs[i].res != (Result{}) {
-			t.Fatalf("request %d of the new call holds %+v", i, sub.reqs[i].res)
+	for i := range b.ents {
+		if b.ents[i].req.sub != sub || len(sub.reqs) != len(ops) {
+			t.Fatalf("last batch's entry %d answers another call", i)
 		}
 	}
+	// The caller's next call takes the same slab.
+	sub.reset(len(ops))
+	spared := func(what string) {
+		t.Helper()
+		if got := sub.pending.Load(); got != int64(len(ops)) || len(sub.done) != 0 {
+			t.Fatalf("%s answered the new call: %d of %d pending, %d signals", what, got, len(ops), len(sub.done))
+		}
+		for i := range sub.reqs {
+			if sub.reqs[i].res != (Result{}) {
+				t.Fatalf("%s: request %d of the new call holds %+v", what, i, sub.reqs[i].res)
+			}
+		}
+	}
+	// As if the incarnation had crashed after its last window: that window
+	// is in a batch already, so nothing is left to commit.
+	pos := sl.rep.Pos()
+	sl.recoverPrev(sched.FreeProc(0))
+	if sl.rep.Pos() != pos {
+		t.Fatalf("recovery committed the last window again: position %d → %d", pos, sl.rep.Pos())
+	}
+	spared("recovery with no batch in flight")
+	// As if it had crashed while answering its last batch.
+	sl.inflight = b
+	sl.recoverPrev(sched.FreeProc(0))
+	spared("re-run finish")
 }
 
 // TestFreeModeLaggingReplicaAppliesOwnCopies: with one slot stalled, the
@@ -669,7 +688,8 @@ func TestFreeModeLaggingReplicaAppliesOwnCopies(t *testing.T) {
 
 // TestFreeModeBatchReuseWaitsForFloor: a finished batch becomes free for
 // reuse only once every live slot's replica has passed its log position;
-// a condemned slot does not hold it back, and a freed batch is cleared.
+// a condemned slot does not hold it back, a freed batch is cleared, and
+// the free list holds at most maxFreeEntries entries.
 func TestFreeModeBatchReuseWaitsForFloor(t *testing.T) {
 	s := New(Config{Shards: 1, WorkersPerShard: 3, Audit: AuditConfig{Disabled: true}})
 	if err := s.Close(); err != nil {
@@ -725,5 +745,23 @@ func TestFreeModeBatchReuseWaitsForFloor(t *testing.T) {
 	}
 	if b := sl.newBatch([]*request{r}); b.ents[0].req != r || len(sl.free) != 9 {
 		t.Fatalf("newBatch did not reuse a free batch")
+	}
+	// A lag of full windows twice the bound long frees only the bound's worth.
+	window := make([]*request, 64)
+	for i := range window {
+		window[i] = r
+	}
+	for pos := 10; pos < 10+2*maxFreeEntries/len(window); pos++ {
+		b := sl.newBatch(window)
+		b.pos = pos
+		sl.retire(b)
+	}
+	sl.reclaim(1 << 30)
+	held := 0
+	for _, b := range sl.free {
+		held += cap(b.ents)
+	}
+	if held != sl.freeEnts || held > maxFreeEntries || held < maxFreeEntries-len(window) {
+		t.Fatalf("free list holds %d entries (counted %d), want at most %d and at least %d", held, sl.freeEnts, maxFreeEntries, maxFreeEntries-len(window))
 	}
 }

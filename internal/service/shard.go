@@ -169,10 +169,13 @@ func (e *batchEntry) answer(rt Runtime) bool {
 	return true
 }
 
-// maxFreeBatches bounds a slot's free list, so a long lag (a slot idle or
-// stalled while its peers commit) leaves at most this many spare batches
-// behind it.
-const maxFreeBatches = 1024
+// maxFreeEntries bounds a slot's free list by the entries its batches'
+// ents arrays hold, so what a long lag (a slot idle or stalled while its
+// peers commit) reclaims at once leaves at most 2 MiB of entries (128 B
+// each, plus 48 B per batch) behind it, whatever MaxBatch was. A sync.Pool
+// would need no bound, but under -race it drops a random quarter of what
+// it is given, and the race build's allocation counts would read the drops.
+const maxFreeEntries = 16 << 10
 
 // cellChunk is how many log cells newShard allocates at once.
 const cellChunk = 64
@@ -306,10 +309,11 @@ type slot struct {
 
 	// retired holds this slot's finished batches in log order until the
 	// truncation floor passes them; free holds the ones it has passed,
-	// cleared and ready for reuse. Only the serving incarnation touches
-	// them.
-	retired []*batch
-	free    []*batch
+	// cleared and ready for reuse, and freeEnts the capacity of their ents
+	// arrays. Only the serving incarnation touches them.
+	retired  []*batch
+	free     []*batch
+	freeEnts int
 }
 
 // syncInterval is how often an idle free-runtime worker catches its replica
@@ -411,7 +415,6 @@ func (sl *slot) recoverPrev(p *sched.Proc) {
 	} else if len(sl.buf) > 0 {
 		sl.commit(p, sl.buf)
 	}
-	sl.buf = sl.buf[:0]
 	sl.catchUp(p)
 }
 
@@ -440,6 +443,8 @@ func (sl *slot) commit(p *sched.Proc, reqs []*request) {
 	st := sl.sh.store
 	b := sl.newBatch(reqs)
 	sl.inflight = b
+	// The batch holds the window now: a successor must not commit it again.
+	sl.buf = sl.buf[:0]
 	st.firePoint(p, FaultWorkerPreCommit)
 	sl.rep.Exec(p, b)
 	b.pos, b.decided = sl.rep.Pos()-1, true
@@ -456,6 +461,7 @@ func (sl *slot) newBatch(reqs []*request) *batch {
 		b = sl.free[n-1]
 		sl.free[n-1] = nil
 		sl.free = sl.free[:n-1]
+		sl.freeEnts -= cap(b.ents)
 	} else {
 		b = &batch{owner: sl}
 	}
@@ -483,8 +489,9 @@ func (sl *slot) reclaim(floor int) {
 		b := sl.retired[k]
 		clear(b.ents)
 		*b = batch{owner: sl, ents: b.ents[:0]}
-		if len(sl.free) < maxFreeBatches {
+		if sl.freeEnts+cap(b.ents) <= maxFreeEntries {
 			sl.free = append(sl.free, b)
+			sl.freeEnts += cap(b.ents)
 		}
 	}
 	if k > 0 {
